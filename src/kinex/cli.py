@@ -87,7 +87,13 @@ def _write_manifest(out: str, config: dict, results: dict | None = None) -> None
 def _parse_snapshots(text: str | None, t_final: float) -> tuple:
     if not text:
         return (t_final,)
-    return tuple(float(tok) for tok in text.split(","))
+    times = []
+    for tok in text.split(","):
+        try:
+            times.append(float(tok))
+        except ValueError:
+            raise KinexError(f"bad snapshot time {tok!r} in {text!r}") from None
+    return tuple(times)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +132,6 @@ STUDY_SCHEMA = {
     "n_list": ("100,1000,10000", str),
     "replicas": (20, int),
     "t": (None, float),
-    "threads": (os.cpu_count() or 1, int),
 }
 
 
@@ -225,7 +230,6 @@ def cmd_study(args) -> int:
             replicas=conf["replicas"],
             seed=conf["seed"],
             t_eval=conf["t"] or 5.0,
-            threads=conf["threads"],
         )
         report = ex.chaos_scaling(config, q0)
     else:
@@ -289,8 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="population sizes for the chaos study")
     study.add_argument("--replicas", type=int, default=None, help="replicas per population size")
     study.add_argument("--t", type=float, default=None, help="evaluation time for the chaos study")
-    study.add_argument("--threads", type=int, default=None,
-                       help="worker cap for replica ensembles (default: available parallelism)")
+    # replicas run in order on one thread; the flag is still accepted, and
+    # ignored, so command lines written for it (perfbench/selftest.py) parse
+    study.add_argument("--threads", type=int, default=None, help=argparse.SUPPRESS)
     study.add_argument("--config", default=None, help="key=value config file (flags win)")
     study.add_argument("--out", default=None, help="output directory (default $KINEX_OUT or ./kinex-out)")
     study.set_defaults(func=cmd_study)

@@ -259,7 +259,6 @@ class ChaosStudyConfig:
     seed: int = 0
     dx: float = 0.01
     dt: float = 0.01
-    threads: int = 1  # worker cap; replicas own their seeds, merge order fixed
 
     def __post_init__(self):
         self.n_list = tuple(int(n) for n in self.n_list)
@@ -267,8 +266,6 @@ class ChaosStudyConfig:
             raise ConfigError("n_list must be strictly increasing")
         if self.replicas < 10:
             raise ConfigError("need at least 10 replicas per population size")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
 
 
 def chaos_scaling(config: ChaosStudyConfig, q0: GridDensity1D) -> StudyReport:
@@ -288,7 +285,6 @@ def chaos_scaling(config: ChaosStudyConfig, q0: GridDensity1D) -> StudyReport:
             "seed": config.seed,
             "dx": config.dx,
             "dt": config.dt,
-            "threads": config.threads,
             "q0_mean": q0.mean,
         },
     )
@@ -309,16 +305,7 @@ def chaos_scaling(config: ChaosStudyConfig, q0: GridDensity1D) -> StudyReport:
     stats = {}
     seed_groups = pt.spawn_seeds(config.seed, len(config.n_list))
     for n, group in zip(config.n_list, seed_groups):
-        children = group.spawn(config.replicas)
-        if config.threads > 1:
-            # per-replica seeds plus in-order merge keep parallel runs
-            # byte-identical to sequential ones
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                results = list(pool.map(replica, [n] * config.replicas, children))
-        else:
-            results = [replica(n, child) for child in children]
+        results = [replica(n, child) for child in group.spawn(config.replicas)]
         w_init = [r[0] for r in results]
         w_final = [r[1] for r in results]
         stats[n] = {

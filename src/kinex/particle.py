@@ -28,7 +28,6 @@ from .errors import ConfigError, DataError, DomainError
 from .kinetic1d import Grid1D, GridDensity1D
 
 _BATCH = 1 << 15
-_SELF_CHECK_EVERY = 1_000_000
 _SELF_CHECK_RTOL = 1e-9
 
 
@@ -94,12 +93,12 @@ class SimConfig:
     def __post_init__(self):
         if self.n_agents < 2:
             raise ConfigError(f"need at least 2 agents, got {self.n_agents}")
-        if not self.t_final > 0:
-            raise ConfigError(f"t_final must be positive, got {self.t_final}")
+        if not 0 < self.t_final < np.inf:
+            raise ConfigError(f"t_final must be positive and finite, got {self.t_final}")
         if self.clock_scale not in ("pairwise", "global"):
             raise ConfigError(f"clock_scale must be 'pairwise' or 'global', got {self.clock_scale!r}")
         times = tuple(float(t) for t in self.snapshot_times)
-        if any(t < 0 or t > self.t_final for t in times) or list(times) != sorted(times):
+        if not all(0 <= t <= self.t_final for t in times) or list(times) != sorted(times):
             raise ConfigError("snapshot times must be sorted and within [0, t_final]")
         self.snapshot_times = times
 
@@ -145,33 +144,13 @@ class ParticleTrajectory:
     event_count: int = 0
 
 
-class _EventStream:
-    """Batched draws from one generator in a fixed order (dt, i, j, u)."""
-
-    def __init__(self, rng: np.random.Generator, n: int, rate: float):
-        self.rng = rng
-        self.n = n
-        self.scale = 1.0 / rate
-        self._refill()
-
-    def _refill(self):
-        self.dts = self.rng.exponential(self.scale, _BATCH).tolist()
-        self.iis = self.rng.integers(0, self.n, _BATCH).tolist()
-        self.jjs = self.rng.integers(0, self.n - 1, _BATCH).tolist()
-        self.uus = self.rng.random(_BATCH).tolist()
-        self.pos = 0
-
-    def next(self):
-        k = self.pos
-        if k == _BATCH:
-            self._refill()
-            k = 0
-        self.pos = k + 1
-        i = self.iis[k]
-        j = self.jjs[k]
-        if j >= i:
-            j += 1
-        return self.dts[k], i, j, self.uus[k]
+def _apply(bal: list, ii: list, jj: list, uu: list) -> None:
+    """Apply the events (i, j, u) in order: agents i and j split their pool u : 1-u."""
+    for i, j, u in zip(ii, jj, uu):
+        pool = bal[i] + bal[j]
+        share = u * pool
+        bal[i] = share
+        bal[j] = pool - share
 
 
 def _run(
@@ -182,61 +161,56 @@ def _run(
 ) -> int:
     """Drive the event loop; calls on_snapshot(t) at each requested time.
 
-    Returns the executed event count. Balance lists are mutated in place;
-    every million events the running total is checked against a fresh sum.
+    Each batch of draws is cut at t_final and at every due snapshot, so a
+    snapshot sees exactly the events at or before its time; a snapshot at or
+    after the batch's last event waits for the next batch. Each segment is
+    applied to the primary, then to the mirror: the two never interact.
+    Returns the executed event count. The arrays are updated in place;
+    after every batch the running total is checked against a fresh sum.
     """
-    stream = _EventStream(
-        np.random.default_rng(np.random.SeedSequence(config.seed)),
-        config.n_agents,
-        config.total_rate(),
-    )
-    bal = balances.tolist()
-    mir = mirror.tolist() if mirror is not None else None
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    n = config.n_agents
+    scale = 1.0 / config.total_rate()
+    pops = [(balances, balances.tolist())]
+    if mirror is not None:
+        pops.append((mirror, mirror.tolist()))
     total0 = float(balances.sum())
-    snaps = list(config.snapshot_times)
-    n_snaps = len(snaps)
+    snaps = config.snapshot_times
     snap_idx = 0
     t = 0.0
     events = 0
-    t_final = config.t_final
-    next_event = stream.next
-
-    def flush_before(bound: float):
-        # snapshots strictly before the next event see the current state
-        nonlocal snap_idx
-        while snap_idx < n_snaps and snaps[snap_idx] < bound:
-            balances[:] = bal
-            if mir is not None:
-                mirror[:] = mir
+    while True:
+        dts = rng.exponential(scale, _BATCH)
+        ii = rng.integers(0, n, _BATCH)
+        jj = rng.integers(0, n - 1, _BATCH)
+        uu = rng.random(_BATCH)
+        jj += jj >= ii
+        ii, jj, uu = ii.tolist(), jj.tolist(), uu.tolist()
+        # sequential sums, rounded exactly like t += dt event by event
+        times = np.cumsum(np.concatenate(([t], dts)))[1:]
+        start = 0
+        while snap_idx < len(snaps):
+            stop = int(np.searchsorted(times, snaps[snap_idx], side="right"))
+            if stop == _BATCH:
+                break
+            for arr, bal in pops:
+                _apply(bal, ii[start:stop], jj[start:stop], uu[start:stop])
+                arr[:] = bal
             on_snapshot(snaps[snap_idx])
             snap_idx += 1
-
-    while True:
-        dt, i, j, u = next_event()
-        t_next = t + dt
-        if t_next > t_final:
+            start = stop
+        stop = int(np.searchsorted(times, config.t_final, side="right"))
+        for _, bal in pops:
+            _apply(bal, ii[start:stop], jj[start:stop], uu[start:stop])
+        events += stop
+        fresh = float(np.sum(np.asarray(pops[0][1])))
+        if abs(fresh - total0) > _SELF_CHECK_RTOL * max(abs(total0), 1.0):
+            raise DataError(f"conservation drift {fresh - total0:.3e} after {events} events")
+        if stop < _BATCH:
             break
-        if snap_idx < n_snaps and snaps[snap_idx] < t_next:
-            flush_before(t_next)
-        t = t_next
-        pool = bal[i] + bal[j]
-        share = u * pool
-        bal[i] = share
-        bal[j] = pool - share
-        if mir is not None:
-            pool = mir[i] + mir[j]
-            share = u * pool
-            mir[i] = share
-            mir[j] = pool - share
-        events += 1
-        if events % _SELF_CHECK_EVERY == 0:
-            fresh = float(np.sum(np.asarray(bal)))
-            if abs(fresh - total0) > _SELF_CHECK_RTOL * max(abs(total0), 1.0):
-                raise DataError(f"conservation drift {fresh - total0:.3e} after {events} events")
-    flush_before(float("inf"))
-    balances[:] = bal
-    if mir is not None:
-        mirror[:] = mir
+        t = times[-1]
+    for arr, bal in pops:
+        arr[:] = bal
     return events
 
 
@@ -264,14 +238,11 @@ def simulate(config: SimConfig, initial: WealthVector) -> ParticleTrajectory:
 class CoupledPairs:
     """Primary population plus a mirror carrying the stationary law.
 
-    The mirror is drawn iid exponential with the given mean; shared_noise
-    records that both populations must jump with the same pair and the
-    same uniform fraction (the only mode simulate_coupled implements).
+    The mirror is drawn iid exponential with the given mean.
     """
 
     primary: WealthVector
     mirror: WealthVector
-    shared_noise: bool = True
 
     def __post_init__(self):
         if self.primary.n_agents != self.mirror.n_agents:
@@ -304,8 +275,6 @@ def simulate_coupled(config: SimConfig, pairs: CoupledPairs) -> CoupledSeries:
     toward the exact floor 2 S^2 / (N (N+1)). The decaying_part() of the
     returned series is what contracts like exp(-t/3).
     """
-    if not pairs.shared_noise:
-        raise ConfigError("simulate_coupled requires the shared-noise coupling")
     if pairs.primary.n_agents != config.n_agents:
         raise ConfigError("pair size does not match the configured agent count")
     if not config.snapshot_times:

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import signal
+import time
 from pathlib import Path
 
 import pytest
@@ -89,6 +91,37 @@ class TestSimulate:
         monkeypatch.chdir(tmp_path)
         assert main(["simulate", "--n", "50", "--t", "1"]) == 0
         assert (tmp_path / "envout" / "summary.csv").exists()
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["simulate", "--n", "10", "--t", "inf"], "t_final"),
+            (["simulate", "--n", "10", "--t", "2", "--snapshots", "1,x"], "'x'"),
+            (["simulate", "--n", "10", "--t", "2", "--snapshots", "nan"], "snapshot"),
+        ],
+        ids=["t-inf", "snapshot-token", "snapshot-nan"],
+    )
+    def test_one_line_error_without_delay(self, argv, named, tmp_path, capsys):
+        def hung(signum, frame):
+            raise TimeoutError("kinex did not return within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(5)
+        try:
+            start = time.perf_counter()
+            code, _ = run(argv, tmp_path)
+            elapsed = time.perf_counter() - start
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert elapsed < 1.0
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("kinex: error:") and named in lines[0], err
 
 
 class TestPde:

@@ -112,14 +112,13 @@ class TestChaosScaling:
             b = ex.chaos_scaling(config, q0)
         assert a.series_rows == b.series_rows
 
-    def test_parallel_matches_sequential(self, q0):
-        seq = ex.ChaosStudyConfig(n_list=(50, 200), replicas=10, seed=5, t_eval=1.0, threads=1)
-        par = ex.ChaosStudyConfig(n_list=(50, 200), replicas=10, seed=5, t_eval=1.0, threads=4)
+    def test_manifest_params_are_machine_independent(self, q0):
+        # nothing hashed into config_sha256 may depend on the host, such as its core count
+        config = ex.ChaosStudyConfig(n_list=(50, 200), replicas=10, seed=5, t_eval=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            a = ex.chaos_scaling(seq, q0)
-            b = ex.chaos_scaling(par, q0)
-        assert a.series_rows == b.series_rows
+            report = ex.chaos_scaling(config, q0)
+        assert set(report.manifest()["params"]) == {"n_list", "t_eval", "replicas", "seed", "dx", "dt", "q0_mean"}
 
     def test_config_guards(self):
         with pytest.raises(ConfigError):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -117,11 +119,21 @@ class TestSimulate:
         for k, t in enumerate(targets):
             assert abs(mean[k] - m2_closed_form(t, 10.0, 100.0)) < 5 * se[k]
 
+    def test_self_check_runs_every_batch(self, monkeypatch):
+        # a negative tolerance fails any check, so a run far below a million events must still check
+        monkeypatch.setattr(pt, "_SELF_CHECK_RTOL", -1.0)
+        with pytest.raises(DataError, match="conservation drift"):
+            pt.simulate(pt.SimConfig(n_agents=10, t_final=1.0), pt.make_initial("constant:1", 10))
+
     def test_config_guards(self):
         with pytest.raises(ConfigError):
             pt.SimConfig(n_agents=1, t_final=1.0)
         with pytest.raises(ConfigError):
             pt.SimConfig(n_agents=10, t_final=-1.0)
+        with pytest.raises(ConfigError):
+            pt.SimConfig(n_agents=10, t_final=float("inf"))
+        with pytest.raises(ConfigError):
+            pt.SimConfig(n_agents=10, t_final=1.0, snapshot_times=(float("nan"),))
         with pytest.raises(ConfigError):
             pt.SimConfig(n_agents=10, t_final=1.0, snapshot_times=(2.0,))
         with pytest.raises(ConfigError):
@@ -186,6 +198,80 @@ class TestCoupled:
     def test_length_mismatch_guard(self):
         with pytest.raises(ConfigError):
             pt.CoupledPairs(pt.make_initial("constant:1", 10), pt.make_initial("constant:1", 9))
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenStreams:
+    """Event counts and state hashes pinned from the per-event reference loop.
+
+    Any change to the event kernel must reproduce these bit for bit: the
+    draw order per batch is the reproducibility contract.
+    """
+
+    @pytest.mark.parametrize(
+        "kwargs, init, events, final_sha, snaps_sha",
+        [
+            (  # smallest population
+                dict(n_agents=2, t_final=50.0, seed=1, snapshot_times=(10.0, 50.0)), "constant:10", 23,
+                "f03a6e4924d178889e648980ce3327b2a972a8209e6276899c5312f2b59bb022",
+                "40eb73dbc52fd139362a6b2cfde96d4a28f5de7d64b233ffa7f34a41186b6f20",
+            ),
+            (
+                dict(n_agents=200, t_final=10.0, seed=3, clock_scale="global", snapshot_times=(5.0,)),
+                "constant:1", 1985,
+                "b9f89140cba08768eee9b06d96c9dd4d4e9d2ea6a7e8d6d0469e1a162222fe46",
+                "d1ec67af7add453786ac7fa8d2b0c9d2c668a7dc1d641d8d3a0330e1a5f60fa1",
+            ),
+            (  # snapshots exactly at 0 and at t_final
+                dict(n_agents=50, t_final=5.0, seed=4, snapshot_times=(0.0, 2.5, 5.0)), "exponential:2", 111,
+                "a5b2c4e83fe655c7b7c3780dfea88c111b473839a28f4de13a9e7065fc9bf8a5",
+                "4c965ed3d71e03209d0880b2b9c20f469b7fa405c23a4af33fe38a43e9a90fe8",
+            ),
+            (  # dense snapshots across about three draw batches
+                dict(n_agents=1000, t_final=200.0, seed=7, snapshot_times=tuple(np.arange(0.0, 200.5, 0.5))),
+                "constant:10", 100263,
+                "17ec3b59006392517a714c1b0b8b24835896c061b4d492b7798db9658b16f70c",
+                "094db9a3d9dbc26c5000926bfe76d0938dae8edbbbfbda7b2bf202644f4d8166",
+            ),
+            (  # no snapshots
+                dict(n_agents=100, t_final=2000.0, seed=8), "constant:1", 99167,
+                "d7090406ba92fc4e6c80bd0ca7fb757748640a798be0ec24c14c4ca3eef39a7b",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+        ],
+    )
+    def test_simulate(self, kwargs, init, events, final_sha, snaps_sha):
+        n = kwargs["n_agents"]
+        traj = pt.simulate(pt.SimConfig(**kwargs), pt.make_initial(init, n, np.random.SeedSequence(n)))
+        assert traj.event_count == events
+        assert _digest([traj.final.balances]) == final_sha
+        assert _digest([traj.times] + [s.balances for s in traj.snapshots]) == snaps_sha
+
+    @pytest.mark.parametrize(
+        "kwargs, m1, events, msd_sha",
+        [
+            (
+                dict(n_agents=300, t_final=3.0, seed=2, snapshot_times=tuple(np.arange(0.0, 3.25, 0.25))), 5.0, 490,
+                "e46e7dc4c3ab65d4f67dc396cafe6cd0434d1cbc0d975db856605da00195b166",
+            ),
+            (
+                dict(n_agents=2000, t_final=40.0, seed=5, snapshot_times=tuple(np.arange(0.0, 41.0, 1.0))), 2.0, 40347,
+                "978658708c6931ae5ba3205d417815cdc66eb9769cb6fdfdf12813da8d57875b",
+            ),
+        ],
+    )
+    def test_simulate_coupled(self, kwargs, m1, events, msd_sha):
+        n = kwargs["n_agents"]
+        pairs = pt.CoupledPairs.build(pt.make_initial("constant:6", n), m1, seed=kwargs["seed"])
+        series = pt.simulate_coupled(pt.SimConfig(**kwargs), pairs)
+        assert series.event_count == events
+        assert _digest([series.times, series.msd]) == msd_sha
 
 
 class TestHistogram:
