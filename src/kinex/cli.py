@@ -12,8 +12,7 @@ Exit codes: 0 success, 1 runtime or acceptance failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
+import math
 import os
 import sys
 
@@ -46,25 +45,22 @@ def _read_config_file(path: str) -> dict:
 def _merge_config(args: argparse.Namespace, schema: dict) -> dict:
     """Defaults, then config-file values, then explicitly given flags.
 
-    schema maps key -> (default, converter); parser options use None as
-    the not-given sentinel so flag presence is detectable regardless of
-    how main() was invoked.
+    schema maps key -> (default, converter); every file value and every
+    given flag passes its converter, which also validates it. Parser
+    options use None as the not-given sentinel so flag presence is
+    detectable regardless of how main() was invoked.
     """
     merged = {key: default for key, (default, _) in schema.items()}
     fileconf = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, raw in fileconf.items():
+    for key in fileconf:
         if key not in schema:
             raise KinexError(f"unknown config key {key!r}")
+    flags = [(key, getattr(args, key)) for key in schema if getattr(args, key) is not None]
+    for key, raw in [*fileconf.items(), *flags]:
         try:
             merged[key] = schema[key][1](raw)
-        except KinexError:
-            raise
-        except Exception as exc:
-            raise KinexError(f"bad config value {key}={raw!r}: {exc}") from exc
-    for key in schema:
-        given = getattr(args, key)
-        if given is not None:
-            merged[key] = given
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise KinexError(f"bad value {key}={raw!r}: {exc}") from exc
     return merged
 
 
@@ -74,26 +70,24 @@ def _out_dir(args) -> str:
     return out
 
 
-def _write_manifest(out: str, config: dict, results: dict | None = None) -> None:
-    blob = json.dumps(config, sort_keys=True).encode()
-    payload = dict(config)
-    payload["config_sha256"] = hashlib.sha256(blob).hexdigest()
-    payload.update(results or {})
-    with open(os.path.join(out, "manifest.json"), "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def _parse_snapshots(text: str | None, t_final: float) -> tuple:
-    if not text:
-        return (t_final,)
-    times = []
+def _parse_values(text: str, convert, what: str, count: int | None = None) -> tuple:
+    """Comma-separated values; a bad token or count is a KinexError naming it."""
+    values = []
     for tok in text.split(","):
         try:
-            times.append(float(tok))
+            values.append(convert(tok))
         except ValueError:
-            raise KinexError(f"bad snapshot time {tok!r} in {text!r}") from None
-    return tuple(times)
+            raise KinexError(f"bad {what} {tok!r} in {text!r}") from None
+    if count is not None and len(values) != count:
+        raise KinexError(f"expected {count} {what} value(s), got {text!r}")
+    return tuple(values)
+
+
+def _positive_float(raw) -> float:
+    value = float(raw)
+    if not 0 < value < math.inf:
+        raise ValueError("need a finite number > 0")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +97,7 @@ def _parse_snapshots(text: str | None, t_final: float) -> tuple:
 
 def _clock_scale_value(raw: str) -> str:
     if raw not in ("pairwise", "global"):
-        raise KinexError(f"clock_scale must be pairwise or global, got {raw!r}")
+        raise ValueError("must be pairwise or global")
     return raw
 
 
@@ -117,13 +111,13 @@ SIMULATE_SCHEMA = {
 }
 
 PDE_SCHEMA = {
-    "m1": (1.0, float),
-    "dx": (0.01, float),
-    "dt": (0.05, float),
-    "t": (10.0, float),
-    "x_max": (None, float),
+    "m1": (1.0, _positive_float),
+    "dx": (0.01, _positive_float),
+    "dt": (0.05, _positive_float),
+    "t": (10.0, _positive_float),
+    "x_max": (None, _positive_float),
     "init": ("equilibrium", str),
-    "snapshot_every": (0.25, float),
+    "snapshot_every": (0.25, _positive_float),
 }
 
 STUDY_SCHEMA = {
@@ -131,14 +125,16 @@ STUDY_SCHEMA = {
     "seed": (0, int),
     "n_list": ("100,1000,10000", str),
     "replicas": (20, int),
-    "t": (None, float),
+    "t": (None, _positive_float),
 }
 
 
 def cmd_simulate(args) -> int:
     conf = _merge_config(args, SIMULATE_SCHEMA)
     out = _out_dir(args)
-    snaps = _parse_snapshots(conf["snapshots"], conf["t"])
+    snaps = (conf["t"],)
+    if conf["snapshots"]:
+        snaps = _parse_values(conf["snapshots"], float, "snapshot time")
     config = pt.SimConfig(
         n_agents=conf["n"],
         t_final=conf["t"],
@@ -160,11 +156,8 @@ def cmd_simulate(args) -> int:
             for t, snap in zip(traj.times, traj.snapshots):
                 for idx, balance in enumerate(snap.balances):
                     f.write(f"{t!r},{idx},{float(balance)!r}\n")
-    _write_manifest(
-        out,
-        {"command": "simulate", **conf, "snapshots": list(snaps)},
-        {"event_count": traj.event_count},
-    )
+    manifest = {"command": "simulate", **conf, "snapshots": list(snaps)}
+    ex.write_manifest(out, manifest, manifest, {"event_count": traj.event_count})
     print(f"simulate: {traj.event_count} events, outputs in {out}")
     return 0
 
@@ -179,10 +172,11 @@ def _initial_density(spec: str, grid: Grid1D, m1: float) -> GridDensity1D:
     if kind == "equilibrium":
         return Equilibrium(m1).on_grid(grid).normalized()
     if kind == "uniform":
-        a, b = (float(tok) for tok in arg.split(","))
+        a, b = _parse_values(arg, float, "uniform bound", 2)
         return uniform_density(grid, a, b)
     if kind == "random":
-        return ex.random_positive_density(grid, m1, int(arg))
+        (seed,) = _parse_values(arg, int, "random seed", 1)
+        return ex.random_positive_density(grid, m1, seed)
     if kind == "file":
         return load_density(arg)
     raise KinexError(f"unknown initial density {spec!r}")
@@ -199,11 +193,8 @@ def cmd_pde(args) -> int:
     traj = solve(q0, conf["t"], conf["dt"], snapshot_times=snap_times, observers=(observer,))
     write_records_csv(observer.records, os.path.join(out, "diagnostics.csv"))
     save_density(traj.final, os.path.join(out, "final_density.csv"))
-    _write_manifest(
-        out,
-        {"command": "pde", **conf, "x_max": x_max},
-        {"n_steps": int(round(conf["t"] / conf["dt"]))},
-    )
+    manifest = {"command": "pde", **conf, "x_max": x_max}
+    ex.write_manifest(out, manifest, manifest, {"n_steps": int(round(conf["t"] / conf["dt"]))})
     print(f"pde: {len(observer.records)} snapshots, outputs in {out}")
     return 0
 
@@ -222,7 +213,7 @@ def cmd_study(args) -> int:
     elif name == "contraction":
         report = ex.contraction_study(seed=conf["seed"])
     elif name == "chaos":
-        n_list = tuple(int(tok) for tok in conf["n_list"].split(","))
+        n_list = _parse_values(conf["n_list"], int, "population size")
         grid = Grid1D.from_spacing(20.0, 0.01)
         q0 = Equilibrium(1.0).on_grid(grid).normalized()
         config = ex.ChaosStudyConfig(

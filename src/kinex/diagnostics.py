@@ -59,11 +59,6 @@ def relative_entropy(p: GridDensity1D, r: GridDensity1D) -> float:
     return float((_xlogy(pv, pv) - _xlogy(pv, rv)).sum() * p.grid.dx)
 
 
-def entropy_vs_equilibrium(q: GridDensity1D, m1: float | None = None) -> float:
-    """Relative entropy of q against the exponential state (default: matched mean)."""
-    return relative_entropy(q, Equilibrium(m1 if m1 is not None else q.mean).on_grid(q.grid))
-
-
 # ---------------------------------------------------------------------------
 # derived densities g, h, m
 # ---------------------------------------------------------------------------
@@ -86,11 +81,11 @@ class DerivedDensities:
     m: np.ndarray
 
 
-def derived_densities(q: GridDensity1D, mode: str = "auto") -> DerivedDensities:
-    c = self_convolution(q, mode)
+def derived_densities(q: GridDensity1D) -> DerivedDensities:
+    c = self_convolution(q)
     lambdas = (np.arange(c.size) + 1.0) * q.grid.dx
     g = c / lambdas
-    h = gain(q, mode, mass_check=False)
+    h = gain(q, mass_check=False)
     dx = q.grid.dx
     m = np.concatenate((np.cumsum(h.values[::-1])[::-1], [0.0])) * dx
     m_edges = np.arange(q.grid.n_cells + 1) * dx
@@ -106,21 +101,21 @@ def _diagonal_average(q: GridDensity1D) -> tuple[np.ndarray, np.ndarray]:
     """Average g_k of q (x) q over diagonal k and the in-range cell counts."""
     n = q.grid.n_cells
     counts = np.minimum(np.arange(2 * n - 1) + 1, 2 * n - 1 - np.arange(2 * n - 1))
-    c = self_convolution(q, "auto")  # = column sums * dx
+    c = self_convolution(q)  # = column sums * dx
     g = c / (counts * q.grid.dx)
     return g, counts
 
 
-def _check_positive_where_needed(q: GridDensity1D) -> bool:
-    """True if q (x) q gives positive mass to a diagonal touching a q = 0 cell."""
-    v = q.values
-    if (v > 0).all():
-        return False
-    g, _ = _diagonal_average(q)
-    n = v.size
+def _check_positive_where_needed(v: np.ndarray, g: np.ndarray) -> bool:
+    """True if q (x) q gives positive mass to a diagonal touching a q = 0 cell.
+
+    Cell z touches diagonals z .. z + M - 1: a prefix count of g > 0 does it in O(M).
+    """
     zero = np.flatnonzero(v == 0)
-    d = zero[:, None] + np.arange(n)[None, :]
-    return bool((g[d] > 0).any())
+    if zero.size == 0:
+        return False
+    positive = np.concatenate(([0], np.cumsum(g > 0)))
+    return bool((positive[zero + v.size] > positive[zero]).any())
 
 
 def dissipation(q: GridDensity1D, method: str = "decomposed") -> float:
@@ -152,11 +147,10 @@ def _dissipation_raw(q: GridDensity1D, method: str) -> float:
     elif method != "fast":
         raise ConfigError(f"unknown dissipation method {method!r}")
 
-    if _check_positive_where_needed(q):
+    g, counts = _diagonal_average(q)
+    if _check_positive_where_needed(v, g):
         warnings.warn("q vanishes where the gain is positive; D[q] = +inf", stacklevel=2)
         return math.inf
-
-    g, counts = _diagonal_average(q)
 
     if method == "brute":
         f = np.outer(v, v)

@@ -69,6 +69,14 @@ def exponential_rate(times, values) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 
 
+def write_manifest(out_dir: str, body: dict, hashed: dict, results: dict) -> None:
+    """Write manifest.json: body, config_sha256 of the sorted JSON of hashed, results."""
+    digest = hashlib.sha256(json.dumps(hashed, sort_keys=True).encode()).hexdigest()
+    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
+        json.dump({**body, "config_sha256": digest, **results}, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 @dataclass
 class StudyReport:
     name: str
@@ -89,15 +97,6 @@ class StudyReport:
     def add_rate(self, name: str, value: float, ci: tuple[float, float] | None = None):
         self.rates[name] = {"value": value, "ci": list(ci) if ci else None}
 
-    def manifest(self) -> dict:
-        blob = json.dumps(self.params, sort_keys=True).encode()
-        return {
-            "study": self.name,
-            "params": self.params,
-            "config_sha256": hashlib.sha256(blob).hexdigest(),
-            **self.run_info,
-        }
-
     def write_artifacts(self, out_dir: str) -> None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "report.json"), "w") as f:
@@ -109,9 +108,7 @@ class StudyReport:
                 default=float,
             )
             f.write("\n")
-        with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-            json.dump(self.manifest(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_manifest(out_dir, {"study": self.name, "params": self.params}, self.params, self.run_info)
         with open(os.path.join(out_dir, "series.csv"), "w", newline="") as f:
             f.write(",".join(self.series_columns) + "\n")
             for row in self.series_rows:

@@ -23,12 +23,11 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, StabilityError
 
-# Direct convolution up to this size, FFT beyond; both paths agree to 1e-12
-# and can be forced via the mode argument of gain().
+# Direct convolution up to this size, FFT beyond; both paths agree to 1e-12.
+# Only the direct path keeps the exact zeros the log-ratio diagnostics need.
 _DIRECT_CONV_LIMIT = 4096
 
-# Negative values below this threshold abort the step instead of clipping.
-_NEGATIVITY_ABORT = -1e-10
+# Input values down to -_NEGATIVITY_CLIP are rounding noise and read as 0.
 _NEGATIVITY_CLIP = 1e-14
 
 
@@ -114,10 +113,6 @@ class Equilibrium:
         x = np.asarray(x, dtype=float)
         return np.where(x >= 0, np.exp(-x / self.m1) / self.m1, 0.0)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= 0, -np.expm1(-x / self.m1), 0.0)
-
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
         return -self.m1 * np.log1p(-u)
@@ -149,26 +144,24 @@ def dirac_density(grid: Grid1D, x0: float) -> GridDensity1D:
 # ---------------------------------------------------------------------------
 
 
-def self_convolution(q: GridDensity1D, mode: str = "auto") -> np.ndarray:
+def self_convolution(q: GridDensity1D) -> np.ndarray:
     """Discrete c = q*q on the doubled midpoint grid, c[k] at (k+1)*dx.
 
     Returns 2*n_cells - 1 values; sum(c)*dx equals mass(q)^2 exactly.
     """
     v = q.values
-    if mode == "direct" or (mode == "auto" and q.grid.n_cells <= _DIRECT_CONV_LIMIT):
+    if q.grid.n_cells <= _DIRECT_CONV_LIMIT:
         c = np.convolve(v, v)
-    elif mode in ("fft", "auto"):
+    else:
         n = 2 * v.size - 1
         nfft = 1 << (n - 1).bit_length()
         c = np.fft.irfft(np.fft.rfft(v, nfft) ** 2, nfft)[:n]
         # convolution of nonnegative sequences; FFT round-off may dip below 0
         np.maximum(c, 0.0, out=c)
-    else:
-        raise ConfigError(f"unknown convolution mode {mode!r}")
     return c * q.grid.dx
 
 
-def gain(q: GridDensity1D, mode: str = "auto", mass_check: bool = True) -> GridDensity1D:
+def gain(q: GridDensity1D, mass_check: bool = True) -> GridDensity1D:
     """Collision gain Q+[q]: law of U*(X+Y) for X, Y iid q, U ~ Uniform[0,1].
 
     Computed as the tail integral over m of c(m)/m with c the discrete
@@ -177,55 +170,35 @@ def gain(q: GridDensity1D, mode: str = "auto", mass_check: bool = True) -> GridD
     """
     if mass_check and not 0.9 <= q.mass <= 1.1:
         raise DomainError(f"gain expects a (near-)probability density, mass={q.mass}")
-    c = self_convolution(q, mode)
+    c = self_convolution(q)
     shells = c / np.arange(1, c.size + 1)  # c(m)/m * dx at m = (k+1) dx
     tail = np.cumsum(shells[::-1])[::-1]
     return GridDensity1D(q.grid, tail[: q.grid.n_cells])
 
 
-def rhs(q: GridDensity1D, mode: str = "auto") -> np.ndarray:
+def rhs(q: GridDensity1D) -> np.ndarray:
     """Right-hand side G[q] = Q+[q] - q as a signed grid function."""
-    return gain(q, mode).values - q.values
+    return gain(q).values - q.values
 
 
-def gain_tail_loss(q: GridDensity1D, mode: str = "auto") -> float:
-    """Mass of Q+[q] lost to the truncation at x_max (reported, not fixed)."""
-    g = gain(q, mode, mass_check=False)
-    return q.mass**2 - g.mass
-
-
-def _checked_step_values(values: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
-    """Clip tiny negatives, abort on structural ones; returns clipped mass."""
-    worst = values.min(initial=0.0)
-    if worst < _NEGATIVITY_ABORT:
-        raise StabilityError(
-            f"density went negative ({worst:.3e}); reduce dt (must satisfy dt <= 1)"
-        )
-    clipped = 0.0
-    if worst < 0:
-        neg = values < 0
-        clipped = -float(values[neg].sum())
-        values = np.where(neg, 0.0, values)
-    return values, clipped
-
-
-def step_euler(
-    q: GridDensity1D, dt: float, mode: str = "auto", clip_report: list | None = None
-) -> GridDensity1D:
+def step_euler(q: GridDensity1D, dt: float) -> GridDensity1D:
     """One forward Euler step q + dt*(Q+[q] - q).
 
     dt must lie in (0, 1]; the loss term has unit rate and dt > 1 makes the
     update a non-convex combination that can go negative.
+
+    For 0 < dt <= 1 the step cannot go negative, even after rounding.
+    Per cell q >= 0 and g = Q+[q] >= 0, so g - q >= -q exactly; rounding
+    is monotone and -q is representable, so fl(g - q) >= -q. With dt <= 1,
+    dt * fl(g - q) lies between fl(g - q) and 0, so by the same argument
+    fl(dt * fl(g - q)) >= -q. Hence q + fl(dt * fl(g - q)) >= 0, before
+    and after rounding, and no clipping is needed.
     """
     if dt > 1:
         raise StabilityError(f"dt = {dt} exceeds the unit loss rate; choose dt <= 1")
     if not dt > 0:
         raise ConfigError(f"dt must be positive, got {dt}")
-    new = q.values + dt * rhs(q, mode)
-    new, clipped = _checked_step_values(new, dt)
-    if clip_report is not None:
-        clip_report.append(clipped)
-    return GridDensity1D(q.grid, new)
+    return GridDensity1D(q.grid, q.values + dt * rhs(q))
 
 
 @dataclass
@@ -236,20 +209,12 @@ class Trajectory:
     snapshots: list[GridDensity1D] = field(default_factory=list)
     final: GridDensity1D | None = None
     tail_loss: float = 0.0  # cumulative mass lost past x_max
-    clipped_mass: float = 0.0  # cumulative negative mass clipped to zero
 
     def moment_series(self, k: int) -> np.ndarray:
         return np.array([snap.moment(k) for snap in self.snapshots])
 
 
-def solve(
-    q0: GridDensity1D,
-    t_final: float,
-    dt: float,
-    snapshot_times=None,
-    observers=(),
-    mode: str = "auto",
-) -> Trajectory:
+def solve(q0: GridDensity1D, t_final: float, dt: float, snapshot_times=None, observers=()) -> Trajectory:
     """Integrate dq/dt = Q+[q] - q with forward Euler from q0 to t_final.
 
     Snapshots record the state at the last step time <= each requested
@@ -257,7 +222,7 @@ def solve(
     under further stepping); observers are callables observer(t, q)
     invoked at the same instants. Without explicit snapshot times only
     t = 0 and t_final are recorded. t_final is rounded to the nearest
-    multiple of dt.
+    multiple of dt, which must not be zero steps.
 
     q0 should carry discrete mass exactly 1 (use normalized()): the mass
     flow of the equation is m' = m^2 - m, so a sampling deficit epsilon
@@ -269,7 +234,9 @@ def solve(
     """
     if not t_final > 0:
         raise ConfigError(f"t_final must be positive, got {t_final}")
-    n_steps = max(1, int(round(t_final / dt)))
+    n_steps = int(round(t_final / dt))
+    if n_steps == 0:
+        raise ConfigError(f"t_final = {t_final} rounds to zero steps of dt = {dt}")
     if snapshot_times is None:
         snap_steps = {0, n_steps}
     else:
@@ -279,7 +246,6 @@ def solve(
         snap_steps = {min(n_steps, int(math.floor(t / dt + 1e-9))) for t in snapshot_times}
 
     traj = Trajectory()
-    clip_report: list[float] = []
     q = q0
     mass0 = q0.mass
 
@@ -293,12 +259,11 @@ def solve(
     if 0 in snap_steps:
         record(0, q)
     for step in range(1, n_steps + 1):
-        q = step_euler(q, dt, mode, clip_report)
+        q = step_euler(q, dt)
         if step in snap_steps:
             record(step, q)
     traj.final = q
     traj.tail_loss = mass0 - q.mass
-    traj.clipped_mass = float(sum(clip_report))
     return traj
 
 

@@ -135,34 +135,3 @@ def micro_reversibility_check(phi: np.ndarray, psi: np.ndarray, grid: Grid1D) ->
     side_psi_phi = float(np.sum(psi * k_phi) * grid.dx**2)
     return side_phi_psi, side_psi_phi
 
-
-def save_pair_density(f: PairDensityGrid, path: str) -> None:
-    """Row-major CSV x,y,value with a JSON sidecar (small grids only)."""
-    import csv
-    import json
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "value"])
-        for i, x in enumerate(f.grid.nodes):
-            for j, y in enumerate(f.grid.nodes):
-                writer.writerow([repr(float(x)), repr(float(y)), repr(float(f.values[i, j]))])
-    with open(path + ".json", "w") as fh:
-        json.dump({"x_max": f.grid.x_max, "n_cells": f.grid.n_cells}, fh, indent=2)
-        fh.write("\n")
-
-
-def load_pair_density(path: str) -> PairDensityGrid:
-    import csv
-    import json
-
-    with open(path + ".json") as fh:
-        meta = json.load(fh)
-    grid = Grid1D(meta["x_max"], meta["n_cells"])
-    values = np.empty((grid.n_cells, grid.n_cells))
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for idx, row in enumerate(reader):
-            values[idx // grid.n_cells, idx % grid.n_cells] = float(row[2])
-    return PairDensityGrid(grid, values)

@@ -76,14 +76,6 @@ class MomentSeries:
     def component(self, k: int) -> np.ndarray:
         return self.values[:, k]
 
-    def save(self, path: str) -> None:
-        """Long-format CSV time,k,value."""
-        with open(path, "w") as f:
-            f.write("time,k,value\n")
-            for t, row in zip(self.times, self.values):
-                for k, value in enumerate(row):
-                    f.write(f"{float(t)!r},{k},{float(value)!r}\n")
-
 
 def integrate_moments(m0: MomentVector, t_final: float, dt: float = 0.01) -> MomentSeries:
     """RK4 integration of the closed triangular system from m0 to t_final.

@@ -121,13 +121,20 @@ def make_initial(spec: str, n: int, seed_seq=None) -> WealthVector:
     file:<path>       one balance per line
     """
     kind, _, arg = spec.partition(":")
+    if kind in ("constant", "exponential"):
+        try:
+            value = float(arg)
+        except ValueError:
+            raise ConfigError(f"bad number {arg!r} in initial condition {spec!r}") from None
     if kind == "constant":
-        return WealthVector(np.full(n, float(arg)))
+        return WealthVector(np.full(n, value))
     if kind == "exponential":
         if seed_seq is None:
             raise ConfigError("exponential initial condition needs a seed")
+        if not 0 < value < np.inf:
+            raise ConfigError(f"exponential mean must be positive and finite, got {arg!r}")
         rng = np.random.default_rng(seed_seq)
-        return WealthVector(rng.exponential(float(arg), n))
+        return WealthVector(rng.exponential(value, n))
     if kind == "file":
         values = np.loadtxt(arg, dtype=float, ndmin=1)
         if values.size != n:

@@ -107,17 +107,6 @@ class LaguerreSpectrum:
         """Norm carried by the last n_modes coefficients (truncation report)."""
         return float(np.sqrt(np.sum(self.coefficients[-n_modes:] ** 2)))
 
-    def evaluate(self, x) -> np.ndarray:
-        """Pointwise values sum_n alpha_n L_n(x)."""
-        x = np.asarray(x, dtype=float)
-        return self.coefficients @ laguerre_table(self.n_max, x)
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as f:
-            f.write("n,alpha\n")
-            for n, a in enumerate(self.coefficients):
-                f.write(f"{n},{float(a)!r}\n")
-
 
 def mode_rate(n) -> np.ndarray:
     """Decay rate (n-1)/(n+1) of the n-th Laguerre mode."""

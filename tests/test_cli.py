@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import signal
@@ -100,8 +101,22 @@ class TestBadInput:
             (["simulate", "--n", "10", "--t", "inf"], "t_final"),
             (["simulate", "--n", "10", "--t", "2", "--snapshots", "1,x"], "'x'"),
             (["simulate", "--n", "10", "--t", "2", "--snapshots", "nan"], "snapshot"),
+            (["simulate", "--n", "10", "--t", "2", "--init", "constant:abc"], "'abc'"),
+            (["simulate", "--n", "10", "--t", "2", "--init", "exponential:-1"], "'-1'"),
+            (["study", "--study", "chaos", "--n-list", "100,abc", "--replicas", "10"], "'abc'"),
+            (["pde", "--t", "1", "--init", "uniform:abc"], "'abc'"),
+            (["pde", "--t", "1", "--snapshot-every", "0"], "snapshot_every=0"),
+            (["pde", "--t", "1", "--snapshot-every", "-1"], "snapshot_every=-1"),
+            (["pde", "--t", "1", "--dt", "nan"], "dt=nan"),
+            (["pde", "--t", "nan"], "t=nan"),
+            (["pde", "--t", "1", "--dx", "0"], "dx=0"),
+            (["pde", "--t", "1e-9"], "1e-09"),
         ],
-        ids=["t-inf", "snapshot-token", "snapshot-nan"],
+        ids=[
+            "t-inf", "snapshot-token", "snapshot-nan", "constant-token", "exponential-negative",
+            "n-list-token", "uniform-token", "snapshot-every-zero", "snapshot-every-negative",
+            "dt-nan", "t-nan", "dx-zero", "t-below-half-step",
+        ],
     )
     def test_one_line_error_without_delay(self, argv, named, tmp_path, capsys):
         def hung(signum, frame):
@@ -149,6 +164,51 @@ class TestPde:
         sidecar = json.loads((out / "final_density.csv.json").read_text())
         assert sidecar["n_cells"] == 1000
         assert abs(sidecar["m1"] - 1.0) < 1e-3
+
+
+class TestGoldenArtifacts:
+    """SHA-256 of every file three small runs write, manifest included.
+
+    Any change to an artifact's bytes fails here; update a hash only for an
+    intended change of output. The pde start has 120 zero cells, so its
+    first record takes the D = +inf branch.
+    """
+
+    CASES = {
+        "simulate": (
+            ["simulate", "--n", "200", "--t", "5", "--seed", "7", "--snapshots", "0,2.5,5", "--write-snapshots"],
+            {
+                "manifest.json": "09cb3b73a170a70dd8f729969a50effd249dc161822e777ad7de8b55ee8bf196",
+                "snapshots.csv": "94d3688acc5011622e3046137fb4baae2a95e2d5b42641e7ae16adaa38b3586a",
+                "summary.csv": "a016528b930a23519282452b5390f309788e320865870736d6c2e04c6306a7c9",
+            },
+        ),
+        "pde": (
+            ["pde", "--dx", "0.05", "--t", "1", "--init", "random:42"],
+            {
+                "diagnostics.csv": "68d6e8422b6afd4dac2fe2b156dfa18981a3633e5e63504ae64744a8fafb781b",
+                "final_density.csv": "efea137d20ad3ecc8f7a156f92186451c799cd96a20266cf365010c7491de7ba",
+                "final_density.csv.json": "794d8fb9f670b37d928e3c031d4b82db4ac931dd0caeab6ad41b10852af775ee",
+                "manifest.json": "3d730d58a52478c5b0c95568075bba71df491f8b7bda6a3d6934d862762f7b85",
+            },
+        ),
+        "chaos": (
+            ["study", "--study", "chaos", "--n-list", "50,200", "--replicas", "10", "--t", "1"],
+            {
+                "manifest.json": "8c2cb4353fd4df4d9d7e6a4ef4504c0950b06bc0ec3829677798b94f394c1601",
+                "report.json": "4732058e631aec9e12b24e33d4902f157f7a5881f8eb68185b05fd635c11495b",
+                "series.csv": "fc118fb454037cb02ab4b0b872b45d3f832a002a65d47ba010f6377c26fc92ad",
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_artifact_hashes(self, case, tmp_path):
+        argv, expected = self.CASES[case]
+        code, out = run(argv, tmp_path)
+        assert code == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert got == expected
 
 
 class TestStudy:

@@ -90,6 +90,37 @@ class TestDissipation:
         with pytest.warns(UserWarning, match="inf"):
             assert dg.dissipation(q, "fast") == math.inf
 
+    def test_zero_cell_check_matches_index_matrix(self):
+        # the prefix-count check against the literal formula: does any
+        # diagonal z .. z + M - 1 of a zero cell z carry positive g?
+        def index_matrix(v, g):
+            zero = np.flatnonzero(v == 0)
+            return bool((g[zero[:, None] + np.arange(v.size)[None, :]] > 0).any())
+
+        rng = np.random.default_rng(7)
+        cases = []
+        for _ in range(300):
+            n = int(rng.integers(16, 65))
+            v = rng.random(n) * (rng.random(n) > rng.random())
+            if rng.random() < 0.5:
+                v[n - 1] = 0.0  # window ends on the last diagonal 2M - 2
+            cases.append(v)
+        only_last = np.zeros(16)
+        only_last[-1] = 1.0  # zeros everywhere, yet no zero cell sees diagonal 30
+        first_two = np.zeros(16)
+        first_two[:2] = 1.0  # only zero cell 2 sees a positive diagonal: its first
+        cases += [only_last, first_two, np.ones(16)]
+        outcomes = set()
+        for v in cases:
+            if not v.any():
+                continue
+            q = GridDensity1D(Grid1D(8.0, v.size), v)
+            g, _ = dg._diagonal_average(q)
+            expected = index_matrix(q.values, g)
+            assert dg._check_positive_where_needed(q.values, g) == expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
     def test_size_guards(self, grid_fine, exp1):
         with pytest.raises(ConfigError):
             dg.dissipation(exp1, "brute")
@@ -305,7 +336,7 @@ class TestDerivedDensities:
         grid = Grid1D.from_spacing(30.0, 1e-4)
         x = grid.nodes
         q = GridDensity1D(grid, 4 * x * np.exp(-2 * x))  # mean 1, smooth
-        dd = dg.derived_densities(q, mode="fft")
+        dd = dg.derived_densities(q)
         h = dd.h.values
         m_nodes = 0.5 * (dd.m[:-1] + dd.m[1:])
         dx = grid.dx

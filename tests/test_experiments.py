@@ -118,7 +118,7 @@ class TestChaosScaling:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             report = ex.chaos_scaling(config, q0)
-        assert set(report.manifest()["params"]) == {"n_list", "t_eval", "replicas", "seed", "dx", "dt", "q0_mean"}
+        assert set(report.params) == {"n_list", "t_eval", "replicas", "seed", "dx", "dt", "q0_mean"}
 
     def test_config_guards(self):
         with pytest.raises(ConfigError):

@@ -163,15 +163,6 @@ class TestMicroReversibility:
         assert stepped.entropy() < f.entropy()
 
 
-def test_pair_density_csv_roundtrip(tmp_path):
-    grid = Grid1D(4.0, 16)
-    f = random_pair_density(grid, 10)
-    path = str(tmp_path / "pair.csv")
-    k2.save_pair_density(f, path)
-    back = k2.load_pair_density(path)
-    assert np.array_equal(back.values, f.values)
-
-
 def test_pair_density_guards():
     grid = Grid1D(4.0, 16)
     with pytest.raises(DomainError):

@@ -98,13 +98,3 @@ def test_equilibrium_constructor():
     m = MomentVector.of_equilibrium(2.0, 4)
     assert m.values.tolist() == [1.0, 2.0, 8.0, 48.0, 384.0]
     assert np.allclose(moment_rhs(m), 0.0, atol=1e-12)
-
-
-def test_series_csv(tmp_path):
-    series = integrate_moments(MomentVector.of_dirac(2.0, 3), 1.0, 0.05)
-    path = tmp_path / "moments.csv"
-    series.save(str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "time,k,value"
-    assert len(lines) == 1 + len(series.times) * 4
-    assert lines[1] == "0.0,0,1.0"

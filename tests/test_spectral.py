@@ -200,12 +200,3 @@ class TestProjection:
     def test_tail_norm_report(self):
         spec = sp.LaguerreSpectrum(np.concatenate((np.zeros(60), np.full(8, 0.1))))
         assert spec.tail_norm(8) == pytest.approx(0.1 * math.sqrt(8))
-
-
-def test_spectrum_csv(tmp_path):
-    spec = sp.LaguerreSpectrum(np.array([0.0, 0.0, 0.25, -0.5]))
-    path = tmp_path / "spec.csv"
-    spec.save(str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "n,alpha"
-    assert lines[4] == "3,-0.5"
