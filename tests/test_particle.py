@@ -119,11 +119,17 @@ class TestSimulate:
         for k, t in enumerate(targets):
             assert abs(mean[k] - m2_closed_form(t, 10.0, 100.0)) < 5 * se[k]
 
-    def test_self_check_runs_every_batch(self, monkeypatch):
+    @pytest.mark.parametrize("coupled", [False, True], ids=["simulate", "simulate_coupled"])
+    def test_self_check_runs_every_batch(self, coupled, monkeypatch):
         # a negative tolerance fails any check, so a run far below a million events must still check
         monkeypatch.setattr(pt, "_SELF_CHECK_RTOL", -1.0)
+        config = pt.SimConfig(n_agents=10, t_final=1.0, snapshot_times=(1.0,))
+        init = pt.make_initial("constant:1", 10)
         with pytest.raises(DataError, match="conservation drift"):
-            pt.simulate(pt.SimConfig(n_agents=10, t_final=1.0), pt.make_initial("constant:1", 10))
+            if coupled:
+                pt.simulate_coupled(config, pt.CoupledPairs(init, init.copy()))
+            else:
+                pt.simulate(config, init)
 
     def test_config_guards(self):
         with pytest.raises(ConfigError):
@@ -244,6 +250,12 @@ class TestGoldenStreams:
                 "d7090406ba92fc4e6c80bd0ca7fb757748640a798be0ec24c14c4ca3eef39a7b",
                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
             ),
+            (  # repeated snapshot times: zero-event segments
+                dict(n_agents=40, t_final=3.0, seed=6, snapshot_times=(1.0, 1.0, 2.0, 2.0, 3.0)),
+                "exponential:3", 59,
+                "a187571071d0e3fcdd3940f96d87c618bf2a982276de03006fc7a7bde53fcc2f",
+                "6dd3bf12d62e89206886a9f1373a2a1c3795dfb748e7ba420e16c85a6d796f4c",
+            ),
         ],
     )
     def test_simulate(self, kwargs, init, events, final_sha, snaps_sha):
@@ -263,6 +275,11 @@ class TestGoldenStreams:
             (
                 dict(n_agents=2000, t_final=40.0, seed=5, snapshot_times=tuple(np.arange(0.0, 41.0, 1.0))), 2.0, 40347,
                 "978658708c6931ae5ba3205d417815cdc66eb9769cb6fdfdf12813da8d57875b",
+            ),
+            (  # the contraction study's population, across two draw batches
+                dict(n_agents=100_000, t_final=1.0, seed=13, snapshot_times=tuple(np.arange(0.0, 1.25, 0.25))),
+                5.0, 49874,
+                "db4bac09fd05f92c251b7ebeaa2b8a97ced9fe6d01a7b13146d920f586ee7e2c",
             ),
         ],
     )
