@@ -90,6 +90,13 @@ def _positive_float(raw) -> float:
     return value
 
 
+def _seed(raw) -> int:
+    value = int(raw)
+    if value < 0:
+        raise ValueError("need an integer >= 0")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -105,7 +112,7 @@ SIMULATE_SCHEMA = {
     "n": (1000, lambda raw: _positive_int(raw)),
     "t": (10.0, float),
     "init": ("constant:10", str),
-    "seed": (0, int),
+    "seed": (0, _seed),
     "snapshots": (None, str),
     "clock_scale": ("pairwise", _clock_scale_value),
 }
@@ -122,7 +129,7 @@ PDE_SCHEMA = {
 
 STUDY_SCHEMA = {
     "study": (None, str),
-    "seed": (0, int),
+    "seed": (0, _seed),
     "n_list": ("100,1000,10000", str),
     "replicas": (20, int),
     "t": (None, _positive_float),
@@ -175,7 +182,7 @@ def _initial_density(spec: str, grid: Grid1D, m1: float) -> GridDensity1D:
         a, b = _parse_values(arg, float, "uniform bound", 2)
         return uniform_density(grid, a, b)
     if kind == "random":
-        (seed,) = _parse_values(arg, int, "random seed", 1)
+        (seed,) = _parse_values(arg, _seed, "random seed", 1)
         return ex.random_positive_density(grid, m1, seed)
     if kind == "file":
         return load_density(arg)

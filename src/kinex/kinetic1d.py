@@ -181,6 +181,13 @@ def rhs(q: GridDensity1D) -> np.ndarray:
     return gain(q).values - q.values
 
 
+def _check_dt(dt: float) -> None:
+    if dt > 1:
+        raise StabilityError(f"dt = {dt} exceeds the unit loss rate; choose dt <= 1")
+    if not dt > 0:
+        raise ConfigError(f"dt must be positive, got {dt}")
+
+
 def step_euler(q: GridDensity1D, dt: float) -> GridDensity1D:
     """One forward Euler step q + dt*(Q+[q] - q).
 
@@ -194,10 +201,7 @@ def step_euler(q: GridDensity1D, dt: float) -> GridDensity1D:
     fl(dt * fl(g - q)) >= -q. Hence q + fl(dt * fl(g - q)) >= 0, before
     and after rounding, and no clipping is needed.
     """
-    if dt > 1:
-        raise StabilityError(f"dt = {dt} exceeds the unit loss rate; choose dt <= 1")
-    if not dt > 0:
-        raise ConfigError(f"dt must be positive, got {dt}")
+    _check_dt(dt)
     return GridDensity1D(q.grid, q.values + dt * rhs(q))
 
 
@@ -234,6 +238,7 @@ def solve(q0: GridDensity1D, t_final: float, dt: float, snapshot_times=None, obs
     """
     if not t_final > 0:
         raise ConfigError(f"t_final must be positive, got {t_final}")
+    _check_dt(dt)
     n_steps = int(round(t_final / dt))
     if n_steps == 0:
         raise ConfigError(f"t_final = {t_final} rounds to zero steps of dt = {dt}")

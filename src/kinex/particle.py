@@ -15,7 +15,9 @@ spawn_seeds() for documented, collision-free sub-seeds.
 
 The coupled mode advances a second population through the very same
 events (same pair, same uniform fraction) to expose the pathwise
-squared-difference contraction; see simulate_coupled.
+squared-difference contraction; see simulate_coupled. Per batch, only the
+draws up to t_final are converted to Python values, one snapshot segment
+at a time; see _run.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .kinetic1d import Grid1D, GridDensity1D
 
 _BATCH = 1 << 15
 _SELF_CHECK_RTOL = 1e-9
+_IN_PLACE_AGENTS = 30_000  # see _run
 
 
 class WealthVector:
@@ -151,7 +154,7 @@ class ParticleTrajectory:
     event_count: int = 0
 
 
-def _apply(bal: list, ii: list, jj: list, uu: list) -> None:
+def _apply(bal: list | memoryview, ii: list, jj: list, uu: list) -> None:
     """Apply the events (i, j, u) in order: agents i and j split their pool u : 1-u."""
     for i, j, u in zip(ii, jj, uu):
         pool = bal[i] + bal[j]
@@ -160,29 +163,35 @@ def _apply(bal: list, ii: list, jj: list, uu: list) -> None:
         bal[j] = pool - share
 
 
-def _run(
-    config: SimConfig,
-    balances: np.ndarray,
-    mirror: np.ndarray | None,
-    on_snapshot,
-) -> int:
+def _run(config: SimConfig, balances: np.ndarray, mirror: np.ndarray | None, on_snapshot) -> int:
     """Drive the event loop; calls on_snapshot(t) at each requested time.
 
     Each batch of draws is cut at t_final and at every due snapshot, so a
     snapshot sees exactly the events at or before its time; a snapshot at or
-    after the batch's last event waits for the next batch. Each segment is
-    applied to the primary, then to the mirror: the two never interact.
-    Returns the executed event count. The arrays are updated in place;
-    after every batch the running total is checked against a fresh sum.
+    after the batch's last event waits for the next batch. Only the draws of
+    a segment about to be applied are converted to Python lists, once; the
+    segment is applied to the primary, then to the mirror: the two never
+    interact. Returns the executed event count. The arrays are updated in
+    place: from _IN_PLACE_AGENTS agents on through a memoryview, below that
+    via a list copied back at each snapshot (a list indexes faster, but
+    copying back its scattered floats costs more than that saves in large
+    runs). After every batch the running total is checked against a fresh
+    sum.
     """
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     n = config.n_agents
     scale = 1.0 / config.total_rate()
-    pops = [(balances, balances.tolist())]
-    if mirror is not None:
-        pops.append((mirror, mirror.tolist()))
+    arrays = (balances,) if mirror is None else (balances, mirror)
+    in_place = n >= _IN_PLACE_AGENTS
+    pops = [memoryview(arr) if in_place else arr.tolist() for arr in arrays]
+
+    def flush():
+        for arr, pop in zip(arrays, () if in_place else pops):
+            arr[:] = np.fromiter(pop, float, n)
+
     total0 = float(balances.sum())
     snaps = config.snapshot_times
+    cut_times = np.array([*snaps, config.t_final])
     snap_idx = 0
     t = 0.0
     events = 0
@@ -192,32 +201,30 @@ def _run(
         jj = rng.integers(0, n - 1, _BATCH)
         uu = rng.random(_BATCH)
         jj += jj >= ii
-        ii, jj, uu = ii.tolist(), jj.tolist(), uu.tolist()
         # sequential sums, rounded exactly like t += dt event by event
         times = np.cumsum(np.concatenate(([t], dts)))[1:]
         start = 0
-        while snap_idx < len(snaps):
-            stop = int(np.searchsorted(times, snaps[snap_idx], side="right"))
-            if stop == _BATCH:
+        # the cuts due in this batch, plus the first one at or past its last event
+        due = cut_times[snap_idx : np.searchsorted(cut_times, times[-1]) + 1]
+        for stop in np.searchsorted(times, due, side="right").tolist():
+            segment = ii[start:stop].tolist(), jj[start:stop].tolist(), uu[start:stop].tolist()
+            for pop in pops:
+                _apply(pop, *segment)
+            del segment  # a full segment is ~3.5 MB of Python objects; free it before the next draws
+            start = stop
+            if stop == _BATCH or snap_idx == len(snaps):
                 break
-            for arr, bal in pops:
-                _apply(bal, ii[start:stop], jj[start:stop], uu[start:stop])
-                arr[:] = bal
+            flush()
             on_snapshot(snaps[snap_idx])
             snap_idx += 1
-            start = stop
-        stop = int(np.searchsorted(times, config.t_final, side="right"))
-        for _, bal in pops:
-            _apply(bal, ii[start:stop], jj[start:stop], uu[start:stop])
-        events += stop
-        fresh = float(np.sum(np.asarray(pops[0][1])))
+        events += start
+        fresh = float(np.sum(balances if in_place else np.fromiter(pops[0], float, n)))
         if abs(fresh - total0) > _SELF_CHECK_RTOL * max(abs(total0), 1.0):
             raise DataError(f"conservation drift {fresh - total0:.3e} after {events} events")
-        if stop < _BATCH:
+        if start < _BATCH:
             break
         t = times[-1]
-    for arr, bal in pops:
-        arr[:] = bal
+    flush()
     return events
 
 

@@ -111,11 +111,15 @@ class TestBadInput:
             (["pde", "--t", "nan"], "t=nan"),
             (["pde", "--t", "1", "--dx", "0"], "dx=0"),
             (["pde", "--t", "1e-9"], "1e-09"),
+            (["simulate", "--n", "10", "--t", "1", "--seed", "-1"], "seed=-1"),
+            (["study", "--study", "chaos", "--n-list", "100,200", "--replicas", "10", "--seed", "-1"], "seed=-1"),
+            (["pde", "--t", "1", "--init", "random:-1"], "'-1'"),
         ],
         ids=[
             "t-inf", "snapshot-token", "snapshot-nan", "constant-token", "exponential-negative",
             "n-list-token", "uniform-token", "snapshot-every-zero", "snapshot-every-negative",
             "dt-nan", "t-nan", "dx-zero", "t-below-half-step",
+            "simulate-seed-negative", "study-seed-negative", "pde-random-seed-negative",
         ],
     )
     def test_one_line_error_without_delay(self, argv, named, tmp_path, capsys):
@@ -137,6 +141,15 @@ class TestBadInput:
         assert "Traceback" not in err
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("kinex: error:") and named in lines[0], err
+
+    def test_negative_seed_in_config_file(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("seed = -1\n")
+        code, _ = run(["simulate", "--n", "10", "--t", "1", "--config", str(conf)], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("kinex: error:") and "seed='-1'" in lines[0], err
 
 
 class TestPde:

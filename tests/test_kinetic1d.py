@@ -203,6 +203,15 @@ class TestStepEuler:
 
 
 class TestSolve:
+    @pytest.mark.parametrize(
+        "dt, error",
+        [(math.nan, ConfigError), (0.0, ConfigError), (-0.1, ConfigError), (1.5, StabilityError),
+         (math.inf, StabilityError)],
+    )
+    def test_dt_guard(self, uniform02, dt, error):
+        with pytest.raises(error):
+            solve(uniform02, 1.0, dt)
+
     def test_equilibrium_stationary(self, exp1):
         # the normalized grid exponential is an exact discrete fixed point up
         # to the truncation leak, which the quadratic mass flow amplifies

@@ -121,15 +121,44 @@ class TestSimulate:
 
     @pytest.mark.parametrize("coupled", [False, True], ids=["simulate", "simulate_coupled"])
     def test_self_check_runs_every_batch(self, coupled, monkeypatch):
-        # a negative tolerance fails any check, so a run far below a million events must still check
-        monkeypatch.setattr(pt, "_SELF_CHECK_RTOL", -1.0)
-        config = pt.SimConfig(n_agents=10, t_final=1.0, snapshot_times=(1.0,))
+        # a balance changed behind the kernel's back must show in the fresh sum taken
+        # at the end of the first batch, not only at the end of the run
+        apply, corrupted = pt._apply, []
+
+        def corrupting_apply(bal, ii, jj, uu):
+            apply(bal, ii, jj, uu)
+            if not corrupted:
+                bal[0] += 1.0
+                corrupted.append(True)
+
+        monkeypatch.setattr(pt, "_apply", corrupting_apply)
+        config = pt.SimConfig(n_agents=10, t_final=10_000.0, snapshot_times=(1.0,))  # ~45 000 events
         init = pt.make_initial("constant:1", 10)
-        with pytest.raises(DataError, match="conservation drift"):
+        for in_place_from in (2, 10**9):  # balances in a memoryview, then in a list
+            monkeypatch.setattr(pt, "_IN_PLACE_AGENTS", in_place_from)
+            corrupted.clear()
+            with pytest.raises(DataError, match=f"conservation drift 1.000e\\+00 after {pt._BATCH} events"):
+                if coupled:
+                    pt.simulate_coupled(config, pt.CoupledPairs(init, init.copy()))
+                else:
+                    pt.simulate(config, init)
+
+    @pytest.mark.parametrize("coupled", [False, True], ids=["simulate", "simulate_coupled"])
+    def test_list_and_memoryview_state_agree(self, coupled, monkeypatch):
+        # the two representations of the balances must apply the very same float operations
+        config = pt.SimConfig(n_agents=300, t_final=250.0, seed=5, snapshot_times=(0.0, 1.0, 1.0, 123.4, 250.0))
+        init = pt.make_initial("exponential:2", 300, np.random.SeedSequence(1))
+        runs = []
+        for in_place_from in (2, 10**9):
+            monkeypatch.setattr(pt, "_IN_PLACE_AGENTS", in_place_from)
             if coupled:
-                pt.simulate_coupled(config, pt.CoupledPairs(init, init.copy()))
+                series = pt.simulate_coupled(config, pt.CoupledPairs.build(init, 3.0, seed=2))
+                runs.append((series.event_count, series.msd.tolist()))
             else:
-                pt.simulate(config, init)
+                traj = pt.simulate(config, init)
+                runs.append((traj.event_count, [s.balances.tolist() for s in [*traj.snapshots, traj.final]]))
+        assert runs[0][0] > pt._BATCH
+        assert runs[0] == runs[1]
 
     def test_config_guards(self):
         with pytest.raises(ConfigError):
@@ -249,6 +278,12 @@ class TestGoldenStreams:
                 dict(n_agents=100, t_final=2000.0, seed=8), "constant:1", 99167,
                 "d7090406ba92fc4e6c80bd0ca7fb757748640a798be0ec24c14c4ca3eef39a7b",
                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (  # large enough for the in-place kernel, across two draw batches
+                dict(n_agents=40_000, t_final=2.0, seed=12, snapshot_times=(0.5, 1.0, 1.0, 2.0)),
+                "exponential:1", 39905,
+                "aa19d02a42a21b107399407880d1faae7f29b5dffdebe2b2eee5666933b82c5d",
+                "2d052156a39a0cad0a3b67eed63ab74cef3f8edeb96722aa402b9e46450318b8",
             ),
             (  # repeated snapshot times: zero-event segments
                 dict(n_agents=40, t_final=3.0, seed=6, snapshot_times=(1.0, 1.0, 2.0, 2.0, 3.0)),
