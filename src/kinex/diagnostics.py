@@ -1,19 +1,13 @@
 """Scalar functionals of the relaxation: entropy, dissipation, distances.
 
-The dissipation functional D[q] comes in three equivalent evaluations:
-
-* ``brute``       literal triple sum over (diagonal, cell, cell), O(M^3),
-                  kept purely as an oracle and guarded to M <= 64;
-* ``decomposed``  the two-term split through the diagonal average g of
-                  q (x) q, literal 2-D sums, O(M^2);
-* ``fast``        the same decomposition with every 2-D sum reduced to
-                  sums along diagonals after one convolution, O(M log M),
-                  for production-size grids.
-
-All three share one discrete convention: the 1/(x+y) collision factor is
-realized as 1/(count of in-range cells * dx) per anti-diagonal, which makes
-them agree to rounding error (the count equals (x+y)/dx on every diagonal
-that is not clipped by the truncation at x_max).
+The dissipation functional D[q] has one evaluation, O(M log M): the
+two-term split through the diagonal average g of q (x) q, with every 2-D
+sum reduced to sums along diagonals after one convolution. The 1/(x+y)
+collision factor is realized as 1/(count of in-range cells * dx) per
+anti-diagonal; the count equals (x+y)/dx on every diagonal that is not
+clipped by the truncation at x_max. The literal O(M^3) triple sum and the
+O(M^2) splits that cross-check it live in tests/oracles.py and share this
+convention, so all evaluations agree to rounding error.
 
 Wasserstein distances use the one-dimensional coupling: W1 as the exact
 area between CDFs on the merged breakpoint set, W2 through inverse-CDF
@@ -31,8 +25,9 @@ import numpy as np
 from .errors import ConfigError, DataError, DomainError, KinexError
 from .kinetic1d import Equilibrium, GridDensity1D, gain, self_convolution
 
-_DECOMPOSED_LIMIT = 2048
-_BRUTE_LIMIT = 64
+_PAIR_GRID_LIMIT = 2048  # M cap of the O(M^2) sums in phi_weighted_entropy_bound
+_LAPLACE_POINTS = 64  # lambda grid of the damped Laplace transform
+_W2_POINTS = 1 << 16  # u-grid of the W2 quantile coupling
 
 
 def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -60,36 +55,28 @@ def relative_entropy(p: GridDensity1D, r: GridDensity1D) -> float:
 
 
 # ---------------------------------------------------------------------------
-# derived densities g, h, m
+# derived densities h, m
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class DerivedDensities:
-    """Diagonal average g, gain h = Q+[q], and the tail mass profile m.
+    """Gain h = Q+[q] and the tail mass profile m.
 
-    ``lambdas``/``g`` live on the doubled diagonal grid, ``h`` on the input
-    grid, ``m_edges``/``m`` on cell edges so that m[0] is exactly the mass
-    of h. h and m are nonincreasing by construction and the mean of h
-    equals the mean of q (both conserved by the collision).
+    ``h`` lives on the input grid, ``m`` on the cell edges 0, dx, ..., x_max
+    so that m[0] is exactly the mass of h. h and m are nonincreasing by
+    construction and the mean of h equals the mean of q (both conserved by
+    the collision).
     """
 
-    lambdas: np.ndarray
-    g: np.ndarray
     h: GridDensity1D
-    m_edges: np.ndarray
     m: np.ndarray
 
 
 def derived_densities(q: GridDensity1D) -> DerivedDensities:
-    c = self_convolution(q)
-    lambdas = (np.arange(c.size) + 1.0) * q.grid.dx
-    g = c / lambdas
     h = gain(q, mass_check=False)
-    dx = q.grid.dx
-    m = np.concatenate((np.cumsum(h.values[::-1])[::-1], [0.0])) * dx
-    m_edges = np.arange(q.grid.n_cells + 1) * dx
-    return DerivedDensities(lambdas, g, h, m_edges, m)
+    m = np.concatenate((np.cumsum(h.values[::-1])[::-1], [0.0])) * q.grid.dx
+    return DerivedDensities(h, m)
 
 
 # ---------------------------------------------------------------------------
@@ -118,93 +105,50 @@ def _check_positive_where_needed(v: np.ndarray, g: np.ndarray) -> bool:
     return bool((positive[zero + v.size] > positive[zero]).any())
 
 
-def dissipation(q: GridDensity1D, method: str = "decomposed") -> float:
+def dissipation(q: GridDensity1D) -> float:
     """Entropy dissipation D[q] >= 0 (relative entropy decays at rate D/4).
+
+    One convolution gives the diagonal average g; the sums over the pair
+    grid then reduce to sums along diagonals, O(M log M) in all.
 
     q must be strictly positive wherever the collision redistributes mass;
     otherwise the functional is genuinely infinite and the +inf sentinel is
-    returned with a warning. Every evaluation is checked for nonnegativity
-    (the integrand is a sum of (a - b) log(a/b) terms); rounding-level
-    negatives are clamped to zero.
+    returned with a warning. The result is checked for nonnegativity (the
+    integrand is a sum of (a - b) log(a/b) terms); rounding-level negatives
+    are clamped to zero.
     """
-    value = _dissipation_raw(q, method)
+    return _checked_dissipation(q, _diagonal_sums)
+
+
+def _checked_dissipation(q: GridDensity1D, evaluate) -> float:
+    """Run evaluate(q, g, counts) behind the +inf and nonnegativity checks."""
+    g, counts = _diagonal_average(q)
+    if _check_positive_where_needed(q.values, g):
+        warnings.warn("q vanishes where the gain is positive; D[q] = +inf", stacklevel=3)
+        return math.inf
+    value = evaluate(q, g, counts)
     if value < -1e-9:
         raise KinexError(f"dissipation came out negative ({value}); integrand violated")
     return max(value, 0.0)
 
 
-def _dissipation_raw(q: GridDensity1D, method: str) -> float:
+def _diagonal_sums(q: GridDensity1D, g: np.ndarray, counts: np.ndarray) -> float:
     n = q.grid.n_cells
     dx = q.grid.dx
     v = q.values
-
-    if method == "brute":
-        if n > _BRUTE_LIMIT:
-            raise ConfigError(f"brute dissipation is O(M^3); capped at M={_BRUTE_LIMIT}")
-    elif method in ("decomposed", "decomposed3"):
-        if n > _DECOMPOSED_LIMIT:
-            raise ConfigError(f"{method} dissipation is O(M^2); capped at M={_DECOMPOSED_LIMIT}")
-    elif method != "fast":
-        raise ConfigError(f"unknown dissipation method {method!r}")
-
-    g, counts = _diagonal_average(q)
-    if _check_positive_where_needed(v, g):
-        warnings.warn("q vanishes where the gain is positive; D[q] = +inf", stacklevel=2)
-        return math.inf
-
-    if method == "brute":
-        f = np.outer(v, v)
-        i = np.arange(n)
-        d = i[:, None] + i[None, :]
-        total = 0.0
-        logf = np.full_like(f, -np.inf)
-        np.log(f, out=logf, where=f > 0)
-        for k in range(2 * n - 1):
-            cells = np.argwhere(d == k)
-            fk = f[cells[:, 0], cells[:, 1]]
-            lk = logf[cells[:, 0], cells[:, 1]]
-            diff = fk[:, None] - fk[None, :]
-            logs = np.where(np.isfinite(lk[:, None] - lk[None, :]), lk[:, None] - lk[None, :], 0.0)
-            # (a - b) log(a/b) with a = b = 0 contributing 0
-            both_zero = (fk[:, None] == 0) & (fk[None, :] == 0)
-            term = np.where(both_zero, 0.0, diff * logs)
-            total += term.sum() / (counts[k] * dx)
-        return float(total * dx**3)
-
-    if method == "fast":
-        dx2 = dx * dx
-        sq_logq = float(_xlogy(v, v).sum() * dx)
-        glogg = float(_xlogy(counts * g, g).sum() * dx2)
-        # h_i = dx * sum_j g_{i+j}: sliding tail-window sums of g
-        suffix = np.concatenate((np.cumsum(g[::-1])[::-1], [0.0]))
-        h = dx * (suffix[:n] - suffix[n : 2 * n])
-        if ((h > 0) & (v == 0)).any():
-            warnings.warn("q vanishes where h is positive; D[q] = +inf", stacklevel=2)
-            return math.inf
-        hlogq = float(_xlogy(h, np.where(v > 0, v, 1.0)).sum() * dx)
-        t1 = 2.0 * (2.0 * q.mass * sq_logq - glogg)
-        t2 = 2.0 * glogg - 4.0 * hlogq
-        return t1 + t2
-
-    # decomposed / decomposed3: literal 2-D sums
     dx2 = dx * dx
-    f = np.outer(v, v)
-    i = np.arange(n)
-    g2d = g[i[:, None] + i[None, :]]
-    ratio_fg = np.divide(f, g2d, out=np.ones_like(f), where=f > 0)
-    t1 = 2.0 * float(_xlogy(f, ratio_fg).sum() * dx2)
-    if method == "decomposed":
-        ratio_gf = np.divide(g2d, f, out=np.ones_like(g2d), where=g2d > 0)
-        t2 = 2.0 * float(_xlogy(g2d, ratio_gf).sum() * dx2)
-        return t1 + t2
-    # three-term variant: split t2 through the product h (x) h
-    h = g2d.sum(axis=1) * dx
-    hh = np.outer(h, h)
-    ratio_gh = np.divide(g2d, hh, out=np.ones_like(g2d), where=g2d > 0)
-    t2 = 2.0 * float(_xlogy(g2d, ratio_gh).sum() * dx2)
-    ratio_hq = np.divide(h, v, out=np.ones_like(h), where=h > 0)
-    t3 = 4.0 * float(_xlogy(h, ratio_hq).sum() * dx)
-    return t1 + t2 + t3
+    sq_logq = float(_xlogy(v, v).sum() * dx)
+    glogg = float(_xlogy(counts * g, g).sum() * dx2)
+    # h_i = dx * sum_j g_{i+j}: sliding tail-window sums of g
+    suffix = np.concatenate((np.cumsum(g[::-1])[::-1], [0.0]))
+    h = dx * (suffix[:n] - suffix[n : 2 * n])
+    if ((h > 0) & (v == 0)).any():
+        warnings.warn("q vanishes where h is positive; D[q] = +inf", stacklevel=4)
+        return math.inf
+    hlogq = float(_xlogy(h, np.where(v > 0, v, 1.0)).sum() * dx)
+    t1 = 2.0 * (2.0 * q.mass * sq_logq - glogg)
+    t2 = 2.0 * glogg - 4.0 * hlogq
+    return t1 + t2
 
 
 def phi_weighted_entropy_bound(q: GridDensity1D, phi: np.ndarray) -> tuple[float, float]:
@@ -214,8 +158,8 @@ def phi_weighted_entropy_bound(q: GridDensity1D, phi: np.ndarray) -> tuple[float
     phi * q is 1 (to 1e-8). Returns (lhs, rhs) with lhs <= rhs guaranteed.
     """
     n = q.grid.n_cells
-    if n > _DECOMPOSED_LIMIT:
-        raise ConfigError(f"O(M^2) evaluation capped at M={_DECOMPOSED_LIMIT}")
+    if n > _PAIR_GRID_LIMIT:
+        raise ConfigError(f"O(M^2) evaluation capped at M={_PAIR_GRID_LIMIT}")
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (n,) or phi.min() < 0:
         raise DomainError("phi must be a nonnegative grid function")
@@ -281,30 +225,26 @@ def entropy_sandwich(mu: GridDensity1D, nu: GridDensity1D, C: float = 2.0) -> tu
 # ---------------------------------------------------------------------------
 
 
-def laplace_profile(
-    q: GridDensity1D, lam0: float, C: float = 1.0, n_lambda: int = 64
-) -> tuple[np.ndarray, np.ndarray, float]:
+def laplace_profile(q: GridDensity1D, lam0: float, C: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """(1 - C*lambda) * integral(exp(lambda x) q) on a lambda grid over [0, lam0].
 
-    Returns (lambdas, G values, tail estimate); the tail estimate is the
-    contribution of the last grid cell to the largest-lambda integral.
+    Returns (lambdas, G values).
     """
     if not 0 < lam0 < 1:
         raise ConfigError(f"lam0 must be in (0, 1), got {lam0}")
     if C * lam0 >= 1:
         raise ConfigError(f"need C * lam0 < 1, got {C * lam0}")
-    lams = np.linspace(0.0, lam0, n_lambda)
+    lams = np.linspace(0.0, lam0, _LAPLACE_POINTS)
     dx = q.grid.dx
-    G = np.empty(n_lambda)
+    G = np.empty(_LAPLACE_POINTS)
     for k, lam in enumerate(lams):
         G[k] = (1.0 - C * lam) * float(np.sum(np.exp(lam * q.grid.nodes) * q.values) * dx)
-    tail = (1.0 - C * lam0) * float(np.exp(lam0 * q.grid.nodes[-1]) * q.values[-1] * dx)
-    return lams, G, tail
+    return lams, G
 
 
-def laplace_check(q: GridDensity1D, lam0: float, C: float = 1.0, n_lambda: int = 64) -> float:
+def laplace_check(q: GridDensity1D, lam0: float, C: float = 1.0) -> float:
     """Supremum of the damped Laplace transform over the lambda grid."""
-    _, G, _ = laplace_profile(q, lam0, C, n_lambda)
+    _, G = laplace_profile(q, lam0, C)
     return float(G.max())
 
 
@@ -373,7 +313,7 @@ def wasserstein1(p, r) -> float:
     return float(np.sum((b - a) * seg))
 
 
-def wasserstein2(p, r, n_u: int = 1 << 16) -> float:
+def wasserstein2(p, r) -> float:
     """1-D W2 via inverse CDFs on a u-grid, with a half-resolution check."""
     mp, mr = _Measure(p), _Measure(r)
     if not (np.isfinite(mp.second_moment()) and np.isfinite(mr.second_moment())):
@@ -384,11 +324,12 @@ def wasserstein2(p, r, n_u: int = 1 << 16) -> float:
         d = mp.quantile(u) - mr.quantile(u)
         return float(np.sqrt(np.mean(d**2)))
 
-    fine = estimate(n_u)
-    coarse = estimate(n_u // 2)
+    fine = estimate(_W2_POINTS)
+    coarse = estimate(_W2_POINTS // 2)
     if abs(fine - coarse) > max(1e-6, 1e-2 * fine):
         warnings.warn(
-            f"wasserstein2 u-grid not converged: {coarse} vs {fine}; increase n_u",
+            f"wasserstein2 u-grid not converged: {coarse} at {_W2_POINTS // 2} points vs "
+            f"{fine} at {_W2_POINTS}; the quantile functions are too rough for this grid",
             stacklevel=2,
         )
     return fine
@@ -439,19 +380,11 @@ class TrajectoryObserver:
     mass is remembered so tail_mass reports cumulative truncation loss.
     """
 
-    def __init__(
-        self,
-        m1: float | None = None,
-        lam0: float | None = None,
-        laplace_C: float | None = None,
-        dissipation_method: str = "fast",
-        wasserstein: bool = True,
-    ):
+    def __init__(self, m1: float | None = None, wasserstein: bool = True):
         self.m1 = m1
-        self.lam0 = lam0
-        self.laplace_C = laplace_C
-        self.dissipation_method = dissipation_method
         self.wasserstein = wasserstein
+        self.lam0: float | None = None
+        self.laplace_C: float | None = None
         self.records: list[DiagnosticsRecord] = []
         self._mass0: float | None = None
         self._eq: GridDensity1D | None = None
@@ -460,16 +393,23 @@ class TrajectoryObserver:
         if self._mass0 is None:
             self._mass0 = q.mass
             mean = self.m1 if self.m1 is not None else q.mean
-            if self.lam0 is None:
-                self.lam0 = 0.6 / mean
-            if self.laplace_C is None:
-                self.laplace_C = mean
+            self.lam0 = 0.6 / mean
+            self.laplace_C = mean
             self._eq = Equilibrium(mean).on_grid(q.grid).normalized()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # early snapshots may have D = +inf
-            d_val = dissipation(q, self.dissipation_method)
-        w1 = wasserstein1(q, self._eq) if self.wasserstein else math.nan
-        w2 = wasserstein2(q, self._eq) if self.wasserstein else math.nan
+            d_val = dissipation(q)
+        w1 = w2 = math.nan
+        if self.wasserstein:
+            mass = q.cdf_points()[1][-1]  # the mass (cumulative, not np.sum) W1/W2 check
+            if abs(mass - 1.0) > 1e-6:
+                raise DataError(
+                    f"density mass {mass:.7g} at t={t:g} is not 1 +- 1e-6 as W1/W2 need: "
+                    f"tail_mass={self._mass0 - q.mass:.3g} has left the grid past "
+                    f"x_max={q.grid.x_max:g}; widen the grid or shorten the run"
+                )
+            w1 = wasserstein1(q, self._eq)
+            w2 = wasserstein2(q, self._eq)
         self.records.append(
             DiagnosticsRecord(
                 time=t,

@@ -293,15 +293,32 @@ def save_density(q: GridDensity1D, path: str) -> None:
 
 
 def load_density(path: str) -> GridDensity1D:
+    """Read a density written by save_density: x,value rows plus a .json sidecar.
+
+    The CSV must hold exactly the sidecar's n_cells rows after its header;
+    anything else is a DataError naming the file.
+    """
     with open(path + ".json") as f:
-        meta = json.load(f)
-    grid = Grid1D(meta["x_max"], meta["n_cells"])
-    values = np.empty(grid.n_cells)
+        try:
+            meta = json.load(f)
+            grid = Grid1D(meta["x_max"], meta["n_cells"])
+        except KeyError as exc:
+            raise DataError(f"{path}.json: sidecar has no {exc} entry") from None
+        except (ConfigError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}.json: bad sidecar: {exc}") from None
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header[:2] != ["x", "value"]:
-            raise DataError(f"unexpected density CSV header {header}")
-        for i, row in enumerate(reader):
+        rows = list(csv.reader(f))
+    if not rows or rows[0][:2] != ["x", "value"]:
+        raise DataError(f"{path}: unexpected density CSV header {rows[:1]}")
+    if len(rows) - 1 != grid.n_cells:
+        raise DataError(f"{path}: {len(rows) - 1} data rows, but its sidecar says n_cells={grid.n_cells}")
+    values = np.empty(grid.n_cells)
+    for i, row in enumerate(rows[1:]):
+        try:
             values[i] = float(row[1])
-    return GridDensity1D(grid, values)
+        except (IndexError, ValueError):
+            raise DataError(f"{path}:{i + 2}: expected x,value with a numeric value, got {row}") from None
+    try:
+        return GridDensity1D(grid, values)
+    except (DataError, DomainError) as exc:  # non-finite or negative values
+        raise DataError(f"{path}: {exc}") from None

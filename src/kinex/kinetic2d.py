@@ -68,20 +68,17 @@ def _diag_counts(n: int) -> np.ndarray:
 class DiagonalProfile:
     """Averages of a pair density along the lines x + y = lambda.
 
-    lambdas[k] = (k + 1) dx are the diagonal midlines; values[k] is the
-    mean of f over the in-range cells of diagonal k. For full diagonals
-    (lambda <= x_max) this equals (1/lambda) * integral of f along the
-    line, the conserved profile of the linear flow.
+    values[k] is the mean of f over the in-range cells of diagonal k, whose
+    midline is lambda = (k + 1) dx. For full diagonals (lambda <= x_max)
+    this equals (1/lambda) * integral of f along the line, the conserved
+    profile of the linear flow.
     """
 
     def __init__(self, f: PairDensityGrid):
         n = f.grid.n_cells
         d = _diag_index(n).ravel()
         sums = np.bincount(d, weights=f.values.ravel(), minlength=2 * n - 1)
-        self.counts = _diag_counts(n)
-        self.values = sums / self.counts
-        self.lambdas = (np.arange(2 * n - 1) + 1.0) * f.grid.dx
-        self.dx = f.grid.dx
+        self.values = sums / _diag_counts(n)
         self.n_cells = n
 
     def interior(self) -> np.ndarray:

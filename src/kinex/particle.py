@@ -139,7 +139,10 @@ def make_initial(spec: str, n: int, seed_seq=None) -> WealthVector:
         rng = np.random.default_rng(seed_seq)
         return WealthVector(rng.exponential(value, n))
     if kind == "file":
-        values = np.loadtxt(arg, dtype=float, ndmin=1)
+        try:
+            values = np.loadtxt(arg, dtype=float, ndmin=1)
+        except ValueError as exc:
+            raise DataError(f"{arg}: expected one balance per line ({exc})") from None
         if values.size != n:
             raise ConfigError(f"file holds {values.size} balances, expected {n}")
         return WealthVector(values)

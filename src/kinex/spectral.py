@@ -7,9 +7,13 @@ no L_0 or L_1 component; on that admissible subspace the linearized
 collision operator acts diagonally with eigenvalue -(n-1)/(n+1), a fact
 this module does not take on faith: evolve_linearized() is gated by a
 quadrature of the operator's integral definition that must certify the
-off-diagonal entries vanish (see operator_matrix / diagonal_action_gate).
+off-diagonal entries vanish (see operator_matrix / diagonal_action_gate),
+and refuses to run if they do not.
 
-All spectral integrals share one Gauss-Laguerre node table.
+All spectral integrals share one Gauss-Laguerre node table of
+QUADRATURE_NODES points. The gap ratio is evaluated in its closed
+coefficient form; the quadrature form that cross-checks it lives in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -19,11 +23,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError, KinexError
 
 MAX_DEGREE = 200
 DEFAULT_N_MAX = 64
-DEFAULT_NODES = 128
+QUADRATURE_NODES = 128
 
 # Admissibility gate for the diagonal fast path of evolve_linearized; the
 # quadrature check must beat this before the closed-form rates are trusted.
@@ -31,32 +35,19 @@ GATE_DEGREE = 8
 GATE_OFFDIAG_TOL = 1e-8
 
 
-@lru_cache(maxsize=8)
-def quadrature_nodes(n_nodes: int = DEFAULT_NODES) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=1)
+def quadrature_nodes() -> tuple[np.ndarray, np.ndarray]:
     """Shared Gauss-Laguerre nodes and weights for integrals against exp(-x)."""
-    x, w = np.polynomial.laguerre.laggauss(n_nodes)
+    x, w = np.polynomial.laguerre.laggauss(QUADRATURE_NODES)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
 
 
-def laguerre_eval(n: int, x):
-    """L_n(x) by the stable three-term recurrence."""
-    if n < 0:
-        raise DomainError(f"degree must be nonnegative, got {n}")
-    if n > MAX_DEGREE:
-        raise DomainError(f"degree capped at {MAX_DEGREE}, got {n}")
-    x = np.asarray(x, dtype=float)
-    prev, cur = np.ones_like(x), 1.0 - x
-    if n == 0:
-        return prev
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
-    return cur
-
-
 def laguerre_table(n_max: int, x: np.ndarray) -> np.ndarray:
-    """Rows L_0(x) .. L_{n_max}(x), evaluated in one recurrence sweep."""
+    """Rows L_0(x) .. L_{n_max}(x), evaluated in one stable recurrence sweep."""
+    if n_max < 0:
+        raise DomainError(f"degree must be nonnegative, got {n_max}")
     if n_max > MAX_DEGREE:
         raise DomainError(f"degree capped at {MAX_DEGREE}, got {n_max}")
     x = np.asarray(x, dtype=float)
@@ -85,19 +76,19 @@ class LaguerreSpectrum:
         self.coefficients = coefficients
 
     @classmethod
-    def single_mode(cls, n: int, amplitude: float = 1.0, n_max: int | None = None) -> "LaguerreSpectrum":
-        size = max(n + 1, 3) if n_max is None else n_max + 1
-        coeffs = np.zeros(size)
-        coeffs[n] = amplitude
+    def single_mode(cls, n: int) -> "LaguerreSpectrum":
+        """The unit-norm spectrum of L_n alone."""
+        coeffs = np.zeros(max(n + 1, 3))
+        coeffs[n] = 1.0
         return cls(coeffs)
 
     @property
     def n_max(self) -> int:
         return self.coefficients.size - 1
 
-    def is_admissible(self, tol: float = 0.0) -> bool:
+    def is_admissible(self) -> bool:
         """Orthogonal to span{1, x}: no alpha_0 or alpha_1 component."""
-        return abs(self.coefficients[0]) <= tol and abs(self.coefficients[1]) <= tol
+        return self.coefficients[0] == 0 and self.coefficients[1] == 0
 
     def norm(self) -> float:
         """Weighted-L2 norm via Parseval."""
@@ -114,13 +105,12 @@ def mode_rate(n) -> np.ndarray:
     return (n - 1.0) / (n + 1.0)
 
 
-def gap_ratio(spectrum: LaguerreSpectrum, method: str = "identity", n_nodes: int = DEFAULT_NODES) -> float:
+def gap_ratio(spectrum: LaguerreSpectrum) -> float:
     """Rayleigh-type ratio whose infimum over admissible h is 3.
 
     Ratio of the weighted-L2 norm squared of h to the integral of
-    exp(-z)/z times the squared antiderivative of h. The identity path uses
-    the coefficient form sum(a_n^2) / sum(a_n^2/(n+1)); the quadrature path
-    evaluates both integrals directly and must agree.
+    exp(-z)/z times the squared antiderivative of h, evaluated in the
+    closed coefficient form sum(a_n^2) / sum(a_n^2/(n+1)).
     """
     coeffs = spectrum.coefficients
     if not spectrum.is_admissible():
@@ -128,17 +118,8 @@ def gap_ratio(spectrum: LaguerreSpectrum, method: str = "identity", n_nodes: int
     total = float(np.sum(coeffs**2))
     if total == 0.0:
         raise DomainError("gap_ratio undefined for the zero spectrum")
-    if method == "identity":
-        n = np.arange(coeffs.size)
-        return total / float(np.sum(coeffs**2 / (n + 1)))
-    if method == "quadrature":
-        x, w = quadrature_nodes(n_nodes)
-        h = coeffs @ laguerre_table(spectrum.n_max, x)
-        antider = coeffs @ laguerre_antiderivative_table(spectrum.n_max, x)
-        num = float(np.sum(w * h**2))
-        den = float(np.sum(w * antider**2 / x))
-        return num / den
-    raise ConfigError(f"unknown gap_ratio method {method!r}")
+    n = np.arange(coeffs.size)
+    return total / float(np.sum(coeffs**2 / (n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +127,8 @@ def gap_ratio(spectrum: LaguerreSpectrum, method: str = "identity", n_nodes: int
 # ---------------------------------------------------------------------------
 
 
-def operator_matrix(n_lo: int = 2, n_hi: int = GATE_DEGREE, n_nodes: int = DEFAULT_NODES) -> np.ndarray:
-    """Matrix elements <L_m, A[L_n]> of the linearized collision operator.
+def operator_matrix() -> np.ndarray:
+    """Matrix elements <L_m, A[L_n]>, 2 <= m, n <= GATE_DEGREE, of the linearized operator.
 
     Computed by nested quadrature of the operator's integral action on each
     basis polynomial (never using the claimed diagonal form):
@@ -158,14 +139,14 @@ def operator_matrix(n_lo: int = 2, n_hi: int = GATE_DEGREE, n_nodes: int = DEFAU
     The inner tail integral is evaluated with the shifted Gauss-Laguerre
     rule, which is exact because H(s)/s is again a polynomial.
     """
-    x, w = quadrature_nodes(n_nodes)
-    degrees = np.arange(n_lo, n_hi + 1)
-    table = laguerre_table(n_hi, x)
+    x, w = quadrature_nodes()
+    degrees = np.arange(2, GATE_DEGREE + 1)
+    table = laguerre_table(GATE_DEGREE, x)
 
     # inner tail integrals I_n(x_j) = e^{-x_j} sum_i w_i H_n(x_j + u_i)/(x_j + u_i)
     shifted = x[:, None] + x[None, :]  # (outer node j, inner node i)
-    Hn_shifted = laguerre_antiderivative_table(n_hi, shifted.ravel())
-    Hn_shifted = Hn_shifted.reshape(n_hi + 1, *shifted.shape)
+    Hn_shifted = laguerre_antiderivative_table(GATE_DEGREE, shifted.ravel())
+    Hn_shifted = Hn_shifted.reshape(GATE_DEGREE + 1, *shifted.shape)
     inner = np.einsum("i,nji->nj", w, Hn_shifted / shifted[None, :, :])
 
     mean_component = table @ w  # <L_n, 1> in the weighted space
@@ -194,29 +175,25 @@ def diagonal_action_gate() -> bool:
     )
 
 
-def evolve_linearized(spectrum: LaguerreSpectrum, t: float, n_nodes: int = DEFAULT_NODES) -> LaguerreSpectrum:
+def evolve_linearized(spectrum: LaguerreSpectrum, t: float) -> LaguerreSpectrum:
     """Propagate an admissible perturbation for time t under the linear flow.
 
-    Fast path (mode-wise decay exp(-t (n-1)/(n+1))) is used only after
-    diagonal_action_gate() passes; otherwise the dense quadrature matrix is
-    exponentiated. The norm never increases and is bounded by the
-    exp(-t/3) envelope.
+    Each mode decays as exp(-t (n-1)/(n+1)), trusted only once
+    diagonal_action_gate() passes; a failed gate is a KinexError. The norm
+    never increases and is bounded by the exp(-t/3) envelope.
     """
     if not spectrum.is_admissible():
         raise DomainError("evolve_linearized needs alpha_0 = alpha_1 = 0")
     if t < 0:
         raise DomainError(f"time must be nonnegative, got {t}")
+    if not diagonal_action_gate():
+        raise KinexError(
+            "diagonal action gate failed: the quadrature operator matrix is not diagonal "
+            "with entries -(n-1)/(n+1), so the mode-wise decay rates are not certified"
+        )
     coeffs = spectrum.coefficients
-    if diagonal_action_gate():
-        n = np.arange(coeffs.size)
-        return LaguerreSpectrum(coeffs * np.exp(-mode_rate(n) * t))
-    # fallback: dense symmetric matrix exponential via eigendecomposition
-    matrix = operator_matrix(2, spectrum.n_max, n_nodes)
-    vals, vecs = np.linalg.eigh(0.5 * (matrix + matrix.T))
-    body = vecs @ (np.exp(vals * t) * (vecs.T @ coeffs[2:]))
-    out = np.zeros_like(coeffs)
-    out[2:] = body
-    return LaguerreSpectrum(out)
+    n = np.arange(coeffs.size)
+    return LaguerreSpectrum(coeffs * np.exp(-mode_rate(n) * t))
 
 
 # ---------------------------------------------------------------------------
@@ -224,20 +201,14 @@ def evolve_linearized(spectrum: LaguerreSpectrum, t: float, n_nodes: int = DEFAU
 # ---------------------------------------------------------------------------
 
 
-def project_function(h, n_max: int = DEFAULT_N_MAX, n_nodes: int = DEFAULT_NODES) -> LaguerreSpectrum:
+def project_function(h, n_max: int = DEFAULT_N_MAX) -> LaguerreSpectrum:
     """Laguerre coefficients of a callable h in the weighted space."""
-    x, w = quadrature_nodes(n_nodes)
+    x, w = quadrature_nodes()
     hx = np.asarray(h(x), dtype=float)
     return LaguerreSpectrum(laguerre_table(n_max, x) @ (w * hx))
 
 
-def norm_weighted(h, n_nodes: int = DEFAULT_NODES) -> float:
-    """Weighted-L2 norm of a callable h by quadrature."""
-    x, w = quadrature_nodes(n_nodes)
-    return float(np.sqrt(np.sum(w * np.asarray(h(x), dtype=float) ** 2)))
-
-
-def project_perturbation(q, n_max: int = DEFAULT_N_MAX, n_nodes: int = DEFAULT_NODES) -> LaguerreSpectrum:
+def project_perturbation(q, n_max: int = DEFAULT_N_MAX) -> LaguerreSpectrum:
     """Spectrum of the relative perturbation (q - q_inf)/q_inf of a grid density.
 
     Requires mean(q) = 1 to 1e-6 (the module fixes m1 = 1). The grid values
@@ -247,10 +218,11 @@ def project_perturbation(q, n_max: int = DEFAULT_N_MAX, n_nodes: int = DEFAULT_N
     """
     if abs(q.mean - 1.0) > 1e-6:
         raise DomainError(f"project_perturbation needs mean 1 +- 1e-6, got {q.mean}")
-    x, w = quadrature_nodes(n_nodes)
-    q_at = np.interp(x, q.grid.nodes, q.values, left=q.values[0], right=0.0)
-    rel = q_at * np.exp(x) - 1.0
-    coeffs = laguerre_table(n_max, x) @ (w * rel)
+
+    def relative(x):
+        return np.interp(x, q.grid.nodes, q.values, left=q.values[0], right=0.0) * np.exp(x) - 1.0
+
+    coeffs = project_function(relative, n_max).coefficients
     if max(abs(coeffs[0]), abs(coeffs[1])) > 1e-6:
         warnings.warn(
             f"projected perturbation has conserved-mode residue "

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from kinex.cli import build_parser, main
+from kinex.kinetic1d import Equilibrium, Grid1D, save_density
 
 DATA = Path(__file__).parent / "data"
 
@@ -22,6 +23,14 @@ def run(argv, tmp_path, name="out"):
     out = tmp_path / name
     code = main([*argv, "--out", str(out)])
     return code, out
+
+
+def one_line_error(capsys) -> str:
+    """The single `kinex: error:` line on stderr, with no traceback."""
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("kinex: error:"), err
+    return lines[0]
 
 
 class TestHelpGolden:
@@ -114,12 +123,14 @@ class TestBadInput:
             (["simulate", "--n", "10", "--t", "1", "--seed", "-1"], "seed=-1"),
             (["study", "--study", "chaos", "--n-list", "100,200", "--replicas", "10", "--seed", "-1"], "seed=-1"),
             (["pde", "--t", "1", "--init", "random:-1"], "'-1'"),
+            (["pde", "--x-max", "3", "--t", "30"], "tail_mass=0.00464"),
         ],
         ids=[
             "t-inf", "snapshot-token", "snapshot-nan", "constant-token", "exponential-negative",
             "n-list-token", "uniform-token", "snapshot-every-zero", "snapshot-every-negative",
             "dt-nan", "t-nan", "dx-zero", "t-below-half-step",
             "simulate-seed-negative", "study-seed-negative", "pde-random-seed-negative",
+            "truncation-leak",
         ],
     )
     def test_one_line_error_without_delay(self, argv, named, tmp_path, capsys):
@@ -146,10 +157,44 @@ class TestBadInput:
         conf = tmp_path / "run.conf"
         conf.write_text("seed = -1\n")
         code, _ = run(["simulate", "--n", "10", "--t", "1", "--config", str(conf)], tmp_path)
-        err = capsys.readouterr().err
         assert code == 1
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("kinex: error:") and "seed='-1'" in lines[0], err
+        assert "seed='-1'" in one_line_error(capsys)
+
+    def test_bad_clock_scale_in_config_file(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("clock_scale = bogus\n")
+        code, _ = run(["simulate", "--n", "10", "--t", "1", "--config", str(conf)], tmp_path)
+        assert code == 1
+        assert "'bogus'" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("case", ["short", "long", "token", "nan", "no-x-max"])
+    def test_bad_density_file(self, case, tmp_path, capsys):
+        path = tmp_path / "density.csv"
+        save_density(Equilibrium(1.0).on_grid(Grid1D.from_spacing(20.0, 0.05)).normalized(), str(path))
+        rows = path.read_text().splitlines()  # header + 400 rows
+        if case == "short":
+            rows = rows[:50]
+        elif case == "long":
+            rows.append(rows[-1])
+        elif case == "token":
+            rows[7] = "0.325,abc"
+        elif case == "nan":
+            rows[7] = "0.325,nan"
+        else:
+            sidecar = json.loads(Path(f"{path}.json").read_text())
+            del sidecar["x_max"]
+            Path(f"{path}.json").write_text(json.dumps(sidecar))
+        path.write_text("\n".join(rows) + "\n")
+        code, _ = run(["pde", "--dx", "0.05", "--t", "1", "--init", f"file:{path}"], tmp_path)
+        assert code == 1
+        assert str(path) in one_line_error(capsys)
+
+    def test_bad_balance_file(self, tmp_path, capsys):
+        path = tmp_path / "balances.txt"
+        path.write_text("1.0\nabc\n2.0\n")
+        code, _ = run(["simulate", "--n", "3", "--t", "1", "--init", f"file:{path}"], tmp_path)
+        assert code == 1
+        assert str(path) in one_line_error(capsys)
 
 
 class TestPde:

@@ -5,8 +5,10 @@ import pytest
 from scipy import integrate
 
 from kinex import spectral as sp
-from kinex.errors import DomainError
+from kinex.errors import DomainError, KinexError
 from kinex.kinetic1d import Equilibrium, Grid1D, GridDensity1D, solve, uniform_density
+
+from oracles import gap_ratio_quadrature, norm_weighted
 
 
 def explicit_laguerre(n, x):
@@ -17,18 +19,21 @@ def explicit_laguerre(n, x):
 class TestLaguerreEval:
     def test_first_members(self):
         x = np.linspace(0.0, 10.0, 7)
-        assert np.array_equal(sp.laguerre_eval(0, x), np.ones_like(x))
-        assert np.allclose(sp.laguerre_eval(1, x), 1.0 - x, atol=0)
+        table = sp.laguerre_table(1, x)
+        assert np.array_equal(table[0], np.ones_like(x))
+        assert np.allclose(table[1], 1.0 - x, atol=0)
 
     def test_degree_two_closed_form(self):
         x = np.linspace(0.0, 8.0, 9)
-        assert np.allclose(sp.laguerre_eval(2, x), (x**2 - 4 * x + 2) / 2, rtol=1e-15)
-        assert sp.laguerre_eval(2, 0.0) == 1.0
+        assert np.allclose(sp.laguerre_table(2, x)[2], (x**2 - 4 * x + 2) / 2, rtol=1e-15)
+        assert sp.laguerre_table(2, 0.0)[2, 0] == 1.0
 
     @pytest.mark.parametrize("n", range(7))
     def test_matches_explicit_sum(self, n):
-        for x in (0.0, 0.3, 1.0, 4.5, 9.0):
-            assert sp.laguerre_eval(n, x) == pytest.approx(explicit_laguerre(n, x), rel=1e-12, abs=1e-12)
+        xs = (0.0, 0.3, 1.0, 4.5, 9.0)
+        table = sp.laguerre_table(n, xs)
+        for x, value in zip(xs, table[n]):
+            assert value == pytest.approx(explicit_laguerre(n, x), rel=1e-12, abs=1e-12)
 
     def test_orthonormality_by_quadrature(self):
         x, w = sp.quadrature_nodes()
@@ -44,31 +49,30 @@ class TestLaguerreEval:
             assert val == pytest.approx(1.0 if n == m else 0.0, abs=1e-9)
 
     def test_degree_guard(self):
+        x = np.linspace(0.0, 4.0, 5)
         with pytest.raises(DomainError):
-            sp.laguerre_eval(201, 1.0)
+            sp.laguerre_table(201, x)
         with pytest.raises(DomainError):
-            sp.laguerre_eval(-1, 1.0)
+            sp.laguerre_table(-1, x)
 
 
 class TestGapRatio:
     def test_mode_two_is_three(self):
         spec = sp.LaguerreSpectrum.single_mode(2)
-        assert abs(sp.gap_ratio(spec, "identity") - 3.0) < 1e-10
-        assert abs(sp.gap_ratio(spec, "quadrature") - 3.0) < 1e-6
+        assert abs(sp.gap_ratio(spec) - 3.0) < 1e-10
+        assert abs(gap_ratio_quadrature(spec) - 3.0) < 1e-6
 
     def test_mode_three_is_four(self):
         spec = sp.LaguerreSpectrum.single_mode(3)
-        assert abs(sp.gap_ratio(spec, "identity") - 4.0) < 1e-10
-        assert abs(sp.gap_ratio(spec, "quadrature") - 4.0) < 1e-6
+        assert abs(sp.gap_ratio(spec) - 4.0) < 1e-10
+        assert abs(gap_ratio_quadrature(spec) - 4.0) < 1e-6
 
     def test_identity_matches_quadrature_on_mixtures(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             coeffs = np.concatenate(([0.0, 0.0], rng.standard_normal(10)))
             spec = sp.LaguerreSpectrum(coeffs)
-            assert sp.gap_ratio(spec, "identity") == pytest.approx(
-                sp.gap_ratio(spec, "quadrature"), rel=1e-9
-            )
+            assert sp.gap_ratio(spec) == pytest.approx(gap_ratio_quadrature(spec), rel=1e-9)
 
     def test_infimum_property(self):
         rng = np.random.default_rng(11)
@@ -135,6 +139,19 @@ class TestEvolve:
                 assert now <= previous + 1e-12
                 previous = now
 
+    def test_failed_gate_raises(self, monkeypatch):
+        # off-diagonal entries 1e-6, far above the 1e-8 gate tolerance
+        rates = sp.mode_rate(np.arange(2, sp.GATE_DEGREE + 1))
+        near_diagonal = np.diag(-rates) + 1e-6 * (1.0 - np.eye(rates.size))
+        monkeypatch.setattr(sp, "operator_matrix", lambda: near_diagonal)
+        sp.diagonal_action_gate.cache_clear()
+        try:
+            assert sp.diagonal_action_gate() is False
+            with pytest.raises(KinexError, match="gate failed"):
+                sp.evolve_linearized(sp.LaguerreSpectrum.single_mode(2), 1.0)
+        finally:
+            sp.diagonal_action_gate.cache_clear()
+
     def test_requires_admissible(self):
         with pytest.raises(DomainError):
             sp.evolve_linearized(sp.LaguerreSpectrum(np.array([1.0, 0.0, 1.0])), 1.0)
@@ -149,7 +166,7 @@ class TestProjection:
             return np.cos(x) - a0 - a1 * (1 - x)
 
         spec = sp.project_function(h, n_max=64)
-        assert abs(spec.norm() ** 2 - sp.norm_weighted(h) ** 2) < 1e-8
+        assert abs(spec.norm() ** 2 - norm_weighted(h) ** 2) < 1e-8
         assert abs(spec.coefficients[0]) < 1e-10 and abs(spec.coefficients[1]) < 1e-10
 
     def test_equilibrium_projects_to_zero(self):
