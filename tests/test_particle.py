@@ -291,6 +291,11 @@ class TestGoldenStreams:
                 "a187571071d0e3fcdd3940f96d87c618bf2a982276de03006fc7a7bde53fcc2f",
                 "6dd3bf12d62e89206886a9f1373a2a1c3795dfb748e7ba420e16c85a6d796f4c",
             ),
+            (  # the figure1 population and start, list state across four draw batches
+                dict(n_agents=10_000, t_final=20.0, seed=9), "constant:10", 100072,
+                "42f0af6723633f61347207440dde2179d7702122cab9c86c9f492f50d825d9da",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
         ],
     )
     def test_simulate(self, kwargs, init, events, final_sha, snaps_sha):
