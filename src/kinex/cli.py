@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 runtime or acceptance failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
 import os
 import sys
@@ -137,6 +138,12 @@ STUDY_SCHEMA = {
 }
 
 
+def _sha256(path: str) -> str:
+    """Hex SHA-256 of a file's bytes: the manifest's record of a file: input."""
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
 def cmd_simulate(args) -> int:
     conf = _merge_config(args, SIMULATE_SCHEMA)
     out = _out_dir(args)
@@ -165,6 +172,8 @@ def cmd_simulate(args) -> int:
                 for idx, balance in enumerate(snap.balances):
                     f.write(f"{t!r},{idx},{float(balance)!r}\n")
     manifest = {"command": "simulate", **conf, "snapshots": list(snaps)}
+    if conf["init"].startswith("file:"):
+        manifest["init_sha256"] = _sha256(conf["init"][5:])
     ex.write_manifest(out, manifest, manifest, {"event_count": traj.event_count})
     print(f"simulate: {traj.event_count} events, outputs in {out}")
     return 0
@@ -185,8 +194,6 @@ def _initial_density(spec: str, grid: Grid1D, m1: float) -> GridDensity1D:
     if kind == "random":
         (seed,) = _parse_values(arg, _seed, "random seed", 1)
         return ex.random_positive_density(grid, m1, seed)
-    if kind == "file":
-        return load_density(arg)
     raise KinexError(f"unknown initial density {spec!r}")
 
 
@@ -194,14 +201,20 @@ def cmd_pde(args) -> int:
     conf = _merge_config(args, PDE_SCHEMA)
     out = _out_dir(args)
     x_max = conf["x_max"] if conf["x_max"] else 20.0 * conf["m1"]
-    grid = Grid1D.from_spacing(x_max, conf["dx"])
-    q0 = _initial_density(conf["init"], grid, conf["m1"])
+    provenance = {}
+    if conf["init"].startswith("file:"):  # the file's sidecar sets the grid, not the flags
+        path = conf["init"][5:]
+        q0 = load_density(path)
+        provenance = dict(dx=q0.grid.dx, x_max=q0.grid.x_max, init_sha256=_sha256(path),
+                          init_sidecar_sha256=_sha256(path + ".json"))
+    else:
+        q0 = _initial_density(conf["init"], Grid1D.from_spacing(x_max, conf["dx"]), conf["m1"])
     observer = TrajectoryObserver(m1=q0.mean)
     snap_times = np.arange(0.0, conf["t"] + 1e-9, conf["snapshot_every"])
     traj = solve(q0, conf["t"], conf["dt"], snapshot_times=snap_times, observers=(observer,))
     write_records_csv(observer.records, os.path.join(out, "diagnostics.csv"))
     save_density(traj.final, os.path.join(out, "final_density.csv"))
-    manifest = {"command": "pde", **conf, "x_max": x_max}
+    manifest = {"command": "pde", **conf, "x_max": x_max, **provenance}
     ex.write_manifest(out, manifest, manifest, {"n_steps": int(round(conf["t"] / conf["dt"]))})
     print(f"pde: {len(observer.records)} snapshots, outputs in {out}")
     return 0

@@ -225,8 +225,8 @@ def solve(q0: GridDensity1D, t_final: float, dt: float, snapshot_times=None, obs
     time (densities are immutable, so recorded snapshots never change
     under further stepping); observers are callables observer(t, q)
     invoked at the same instants. Without explicit snapshot times only
-    t = 0 and t_final are recorded. t_final is rounded to the nearest
-    multiple of dt, which must not be zero steps.
+    t = 0 and t_final are recorded. t_final must be at least dt and is
+    rounded to the nearest multiple of dt.
 
     q0 should carry discrete mass exactly 1 (use normalized()): the mass
     flow of the equation is m' = m^2 - m, so a sampling deficit epsilon
@@ -239,9 +239,9 @@ def solve(q0: GridDensity1D, t_final: float, dt: float, snapshot_times=None, obs
     if not t_final > 0:
         raise ConfigError(f"t_final must be positive, got {t_final}")
     _check_dt(dt)
+    if t_final < dt:
+        raise ConfigError(f"t_final = {t_final} is shorter than one step dt = {dt}")
     n_steps = int(round(t_final / dt))
-    if n_steps == 0:
-        raise ConfigError(f"t_final = {t_final} rounds to zero steps of dt = {dt}")
     if snapshot_times is None:
         snap_steps = {0, n_steps}
     else:

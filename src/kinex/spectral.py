@@ -94,10 +94,6 @@ class LaguerreSpectrum:
         """Weighted-L2 norm via Parseval."""
         return float(np.sqrt(np.sum(self.coefficients**2)))
 
-    def tail_norm(self, n_modes: int = 8) -> float:
-        """Norm carried by the last n_modes coefficients (truncation report)."""
-        return float(np.sqrt(np.sum(self.coefficients[-n_modes:] ** 2)))
-
 
 def mode_rate(n) -> np.ndarray:
     """Decay rate (n-1)/(n+1) of the n-th Laguerre mode."""

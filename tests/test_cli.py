@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from kinex.cli import build_parser, main
-from kinex.kinetic1d import Equilibrium, Grid1D, save_density
+from kinex.kinetic1d import Equilibrium, Grid1D, save_density, uniform_density
 
 DATA = Path(__file__).parent / "data"
 
@@ -96,6 +96,17 @@ class TestSimulate:
         code = main(["simulate", "--config", str(conf), "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_file_input_is_hashed(self, tmp_path):
+        path = tmp_path / "balances.txt"
+        manifests = []
+        for k, text in enumerate(("1\n2\n3\n4\n", "4\n3\n2\n1\n")):  # same flags, new file bytes
+            path.write_text(text)
+            code, out = run(["simulate", "--n", "4", "--t", "1", "--init", f"file:{path}"], tmp_path, f"o{k}")
+            assert code == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+            assert manifests[-1]["init_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+        assert manifests[0]["config_sha256"] != manifests[1]["config_sha256"]
+
     def test_kinex_out_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KINEX_OUT", str(tmp_path / "envout"))
         monkeypatch.chdir(tmp_path)
@@ -120,6 +131,7 @@ class TestBadInput:
             (["pde", "--t", "nan"], "t=nan"),
             (["pde", "--t", "1", "--dx", "0"], "dx=0"),
             (["pde", "--t", "1e-9"], "1e-09"),
+            (["pde", "--dt", "0.05", "--t", "0.03"], "t_final = 0.03"),
             (["simulate", "--n", "10", "--t", "1", "--seed", "-1"], "seed=-1"),
             (["study", "--study", "chaos", "--n-list", "100,200", "--replicas", "10", "--seed", "-1"], "seed=-1"),
             (["pde", "--t", "1", "--init", "random:-1"], "'-1'"),
@@ -128,7 +140,7 @@ class TestBadInput:
         ids=[
             "t-inf", "snapshot-token", "snapshot-nan", "constant-token", "exponential-negative",
             "n-list-token", "uniform-token", "snapshot-every-zero", "snapshot-every-negative",
-            "dt-nan", "t-nan", "dx-zero", "t-below-half-step",
+            "dt-nan", "t-nan", "dx-zero", "t-below-half-step", "t-below-step",
             "simulate-seed-negative", "study-seed-negative", "pde-random-seed-negative",
             "truncation-leak",
         ],
@@ -222,6 +234,23 @@ class TestPde:
         sidecar = json.loads((out / "final_density.csv.json").read_text())
         assert sidecar["n_cells"] == 1000
         assert abs(sidecar["m1"] - 1.0) < 1e-3
+
+    def test_file_input_grid_and_hash(self, tmp_path):
+        """The manifest records the file's grid, not the flags', and hashes file and sidecar."""
+        path = tmp_path / "density.csv"
+        grid = Grid1D.from_spacing(25.0, 0.1)
+        manifests = []
+        for k, b in enumerate((2.0, 3.0)):  # same flags, new file bytes
+            save_density(uniform_density(grid, 0.0, b), str(path))
+            # the flag grid (x_max 20, dx 0.7) is not even valid; the file's is used
+            code, out = run(["pde", "--t", "1", "--dx", "0.7", "--init", f"file:{path}"], tmp_path, f"o{k}")
+            assert code == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert (manifest["x_max"], manifest["dx"]) == (grid.x_max, grid.dx)
+            assert manifest["init_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+            assert manifest["init_sidecar_sha256"] == hashlib.sha256(Path(f"{path}.json").read_bytes()).hexdigest()
+            manifests.append(manifest)
+        assert manifests[0]["config_sha256"] != manifests[1]["config_sha256"]
 
 
 class TestGoldenArtifacts:

@@ -212,6 +212,11 @@ class TestSolve:
         with pytest.raises(error):
             solve(uniform02, 1.0, dt)
 
+    def test_horizon_shorter_than_step(self, uniform02):
+        with pytest.raises(ConfigError, match="shorter than one step"):
+            solve(uniform02, 0.03, 0.05)  # used to step on to t = 0.05
+        assert solve(uniform02, 0.05, 0.05).times == [0.0, 0.05]
+
     def test_equilibrium_stationary(self, exp1):
         # the normalized grid exponential is an exact discrete fixed point up
         # to the truncation leak, which the quadratic mass flow amplifies

@@ -213,7 +213,3 @@ class TestProjection:
                 alphas.append(sp.project_perturbation(snap.normalized(), n_max=16).coefficients[2])
         rate = -np.polyfit(traj.times, np.log(np.abs(alphas)), 1)[0]
         assert 0.32 <= rate <= 0.35
-
-    def test_tail_norm_report(self):
-        spec = sp.LaguerreSpectrum(np.concatenate((np.zeros(60), np.full(8, 0.1))))
-        assert spec.tail_norm(8) == pytest.approx(0.1 * math.sqrt(8))
