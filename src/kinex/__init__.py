@@ -1,10 +1,10 @@
 """kinex: a laboratory for the uniform money-reshuffling dynamics.
 
 Stochastic N-agent simulation (particle), the mean-field equation solver
-(kinetic1d), the lifted two-variable dynamics (kinetic2d), the closed
-moment hierarchy (moments), Laguerre spectral analysis of the linearized
-flow (spectral), scalar convergence diagnostics (diagnostics), and
-scripted end-to-end studies (experiments) behind one CLI (cli).
+(kinetic1d), scalar convergence diagnostics (diagnostics), and scripted
+end-to-end studies (experiments) behind one CLI (cli). The package holds
+only what the CLI runs; the moment hierarchy, the Laguerre analysis and
+the pair-density solver are test oracles in tests/oracles/.
 """
 
 from .errors import ConfigError, DataError, DomainError, KinexError, StabilityError

@@ -132,10 +132,12 @@ PDE_SCHEMA = {
 STUDY_SCHEMA = {
     "study": (None, str),
     "seed": (0, _seed),
-    "n_list": ("100,1000,10000", str),
-    "replicas": (20, int),
+    "n_list": (None, str),
+    "replicas": (None, int),
     "t": (None, _positive_float),
 }
+# STUDY_SCHEMA keys that only the chaos study reads, with its defaults
+_CHAOS_DEFAULTS = {"n_list": "100,1000,10000", "replicas": 20, "t": 5.0}
 
 
 def _sha256(path: str) -> str:
@@ -202,14 +204,18 @@ def cmd_pde(args) -> int:
     out = _out_dir(args)
     x_max = conf["x_max"] if conf["x_max"] else 20.0 * conf["m1"]
     provenance = {}
-    if conf["init"].startswith("file:"):  # the file's sidecar sets the grid, not the flags
-        path = conf["init"][5:]
-        q0 = load_density(path)
-        provenance = dict(dx=q0.grid.dx, x_max=q0.grid.x_max, init_sha256=_sha256(path),
-                          init_sidecar_sha256=_sha256(path + ".json"))
+    source = conf["init"]
+    if source.startswith("file:"):  # the file's sidecar sets the grid, not the flags
+        source = source[5:]
+        q0 = load_density(source)
+        provenance = dict(dx=q0.grid.dx, x_max=q0.grid.x_max, init_sha256=_sha256(source),
+                          init_sidecar_sha256=_sha256(source + ".json"))
     else:
-        q0 = _initial_density(conf["init"], Grid1D.from_spacing(x_max, conf["dx"]), conf["m1"])
-    observer = TrajectoryObserver(m1=q0.mean)
+        q0 = _initial_density(source, Grid1D.from_spacing(x_max, conf["dx"]), conf["m1"])
+    mass = q0.cdf_points()[1][-1]  # the cumulative mass the observer's W1/W2 check reads
+    if abs(mass - 1.0) > 1e-6:
+        raise KinexError(f"start density {source} has mass {mass:.7g}, not 1 +- 1e-6")
+    observer = TrajectoryObserver()
     snap_times = np.arange(0.0, conf["t"] + 1e-9, conf["snapshot_every"])
     traj = solve(q0, conf["t"], conf["dt"], snapshot_times=snap_times, observers=(observer,))
     write_records_csv(observer.records, os.path.join(out, "diagnostics.csv"))
@@ -227,21 +233,25 @@ def cmd_pde(args) -> int:
 
 def cmd_study(args) -> int:
     conf = _merge_config(args, STUDY_SCHEMA)
-    out = _out_dir(args)
     name = conf["study"]
+    given = [key for key in _CHAOS_DEFAULTS if conf[key] is not None]
+    if name != "chaos" and given:
+        raise KinexError(f"study {name} takes no {', '.join(given)}; only the chaos study reads them")
+    out = _out_dir(args)
     if name == "figure1":
         report = ex.figure1_reproduction(seed=conf["seed"])
     elif name == "contraction":
         report = ex.contraction_study(seed=conf["seed"])
     elif name == "chaos":
-        n_list = _parse_values(conf["n_list"], int, "population size")
+        chaos = {key: default if conf[key] is None else conf[key] for key, default in _CHAOS_DEFAULTS.items()}
+        n_list = _parse_values(chaos["n_list"], int, "population size")
         grid = Grid1D.from_spacing(20.0, 0.01)
         q0 = Equilibrium(1.0).on_grid(grid).normalized()
         config = ex.ChaosStudyConfig(
             n_list=n_list,
-            replicas=conf["replicas"],
+            replicas=chaos["replicas"],
             seed=conf["seed"],
-            t_eval=conf["t"] or 5.0,
+            t_eval=chaos["t"],
         )
         report = ex.chaos_scaling(config, q0)
     else:

@@ -6,7 +6,7 @@ sum reduced to sums along diagonals after one convolution. The 1/(x+y)
 collision factor is realized as 1/(count of in-range cells * dx) per
 anti-diagonal; the count equals (x+y)/dx on every diagonal that is not
 clipped by the truncation at x_max. The literal O(M^3) triple sum and the
-O(M^2) splits that cross-check it live in tests/oracles.py and share this
+O(M^2) splits that cross-check it live in tests/oracles/ and share this
 convention, so all evaluations agree to rounding error.
 
 Wasserstein distances use the one-dimensional coupling: W1 as the exact
@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, KinexError
-from .kinetic1d import Equilibrium, GridDensity1D, gain, self_convolution
+from .kinetic1d import Equilibrium, GridDensity1D, self_convolution
+from .kinetic1d import gain  # noqa: F401  unused here; perfbench/selftest.py checks the tracer rebinds it
 
-_PAIR_GRID_LIMIT = 2048  # M cap of the O(M^2) sums in phi_weighted_entropy_bound
 _LAPLACE_POINTS = 64  # lambda grid of the damped Laplace transform
 _W2_POINTS = 1 << 16  # u-grid of the W2 quantile coupling
 
@@ -52,31 +52,6 @@ def relative_entropy(p: GridDensity1D, r: GridDensity1D) -> float:
         warnings.warn("absolute continuity violated; relative entropy is +inf", stacklevel=2)
         return math.inf
     return float((_xlogy(pv, pv) - _xlogy(pv, rv)).sum() * p.grid.dx)
-
-
-# ---------------------------------------------------------------------------
-# derived densities h, m
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DerivedDensities:
-    """Gain h = Q+[q] and the tail mass profile m.
-
-    ``h`` lives on the input grid, ``m`` on the cell edges 0, dx, ..., x_max
-    so that m[0] is exactly the mass of h. h and m are nonincreasing by
-    construction and the mean of h equals the mean of q (both conserved by
-    the collision).
-    """
-
-    h: GridDensity1D
-    m: np.ndarray
-
-
-def derived_densities(q: GridDensity1D) -> DerivedDensities:
-    h = gain(q, mass_check=False)
-    m = np.concatenate((np.cumsum(h.values[::-1])[::-1], [0.0])) * q.grid.dx
-    return DerivedDensities(h, m)
 
 
 # ---------------------------------------------------------------------------
@@ -149,75 +124,6 @@ def _diagonal_sums(q: GridDensity1D, g: np.ndarray, counts: np.ndarray) -> float
     t1 = 2.0 * (2.0 * q.mass * sq_logq - glogg)
     t2 = 2.0 * glogg - 4.0 * hlogq
     return t1 + t2
-
-
-def phi_weighted_entropy_bound(q: GridDensity1D, phi: np.ndarray) -> tuple[float, float]:
-    """Jensen bound: entropy of q against H = g * phi versus the weighted 2-D form.
-
-    phi is a nonnegative grid function normalized so that the integral of
-    phi * q is 1 (to 1e-8). Returns (lhs, rhs) with lhs <= rhs guaranteed.
-    """
-    n = q.grid.n_cells
-    if n > _PAIR_GRID_LIMIT:
-        raise ConfigError(f"O(M^2) evaluation capped at M={_PAIR_GRID_LIMIT}")
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (n,) or phi.min() < 0:
-        raise DomainError("phi must be a nonnegative grid function")
-    dx = q.grid.dx
-    v = q.values
-    if abs(float((phi * v).sum() * dx) - 1.0) > 1e-8:
-        raise DomainError("phi must satisfy integral(phi * q) = 1 to 1e-8")
-
-    g, _ = _diagonal_average(q)
-    i = np.arange(n)
-    g2d = g[i[:, None] + i[None, :]]
-    H = g2d @ phi * dx
-    if ((v > 0) & (H == 0)).any():
-        warnings.warn("H vanishes on the support of q; bound is +inf", stacklevel=2)
-        return math.inf, math.inf
-    lhs = float((_xlogy(v, np.where(v > 0, v, 1.0)) - _xlogy(v, np.where(H > 0, H, 1.0))).sum() * dx)
-
-    f = np.outer(v, v)
-    ratio = np.divide(f, g2d, out=np.ones_like(f), where=f > 0)
-    rhs = float((_xlogy(f, ratio) * phi[None, :]).sum() * dx * dx)
-    if not lhs <= rhs + 1e-9:
-        raise KinexError(f"entropy bound violated: lhs={lhs} > rhs={rhs}")
-    return lhs, rhs
-
-
-def entropy_sandwich(mu: GridDensity1D, nu: GridDensity1D, C: float = 2.0) -> tuple[float, float, float]:
-    """Three-region bracket of the relative entropy of mu against nu.
-
-    For C >= 2 the middle value (the mass-corrected relative entropy, equal
-    to the plain one when both inputs are probabilities) is bounded below
-    and above by weighted combinations of a chi-square core, the nu-mass of
-    the region where mu is tiny, and the tail of mu log(mu/nu). Ordering is
-    guaranteed cell by cell.
-    """
-    if C < 2:
-        raise DomainError(f"the bracket requires C >= 2, got {C}")
-    if mu.grid != nu.grid:
-        raise ConfigError("entropy_sandwich needs a shared grid")
-    if (nu.values <= 0).any():
-        raise DomainError("nu must be strictly positive on the grid")
-    dx = mu.grid.dx
-    m, v = mu.values, nu.values
-    ratio = m / v
-
-    low = ratio < 1.0 / C
-    high = ratio > C
-    mid = ~(low | high)
-
-    chi2 = (m - v) ** 2 / v
-    tail = _xlogy(m, np.where(m > 0, ratio, 1.0))
-
-    lower = float((chi2[mid].sum() / (2 * C) + v[low].sum() / 8 + tail[high].sum() / 4) * dx)
-    upper = float((chi2[mid].sum() * C / 2 + v[low].sum() + tail[high].sum()) * dx)
-    phi_sum = tail + v - m  # nu * (r log r + 1 - r), the mass-corrected entropy
-    middle = float(phi_sum.sum() * dx)
-    if not (lower <= middle + 1e-12 and middle <= upper + 1e-12):
-        raise KinexError(f"sandwich ordering violated: {lower}, {middle}, {upper}")
-    return lower, middle, upper
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +279,15 @@ class TrajectoryObserver:
     """Collects a DiagnosticsRecord per snapshot of a kinetic1d solve.
 
     The equilibrium used for entropy and the Wasserstein targets is the
-    exponential state with the initial density's (conserved) mean, and the
-    damped-Laplace parameters scale with that mean (lambda up to 0.6/m1,
-    damping m1), which is the scale-invariant transfer of the mean-1
-    bound: the exponential moment would diverge otherwise. The initial
-    mass is remembered so tail_mass reports cumulative truncation loss.
+    exponential state with the initial density's (conserved) mean m1, read
+    from the first record, and the damped-Laplace parameters scale with
+    that mean (lambda up to 0.6/m1, damping m1), which is the
+    scale-invariant transfer of the mean-1 bound: the exponential moment
+    would diverge otherwise. The initial mass is remembered so tail_mass
+    reports cumulative truncation loss.
     """
 
-    def __init__(self, m1: float | None = None, wasserstein: bool = True):
-        self.m1 = m1
+    def __init__(self, wasserstein: bool = True):
         self.wasserstein = wasserstein
         self.lam0: float | None = None
         self.laplace_C: float | None = None
@@ -392,10 +298,9 @@ class TrajectoryObserver:
     def __call__(self, t: float, q: GridDensity1D) -> None:
         if self._mass0 is None:
             self._mass0 = q.mass
-            mean = self.m1 if self.m1 is not None else q.mean
-            self.lam0 = 0.6 / mean
-            self.laplace_C = mean
-            self._eq = Equilibrium(mean).on_grid(q.grid).normalized()
+            self.lam0 = 0.6 / q.mean
+            self.laplace_C = q.mean
+            self._eq = Equilibrium(q.mean).on_grid(q.grid).normalized()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # early snapshots may have D = +inf
             d_val = dissipation(q)
@@ -435,9 +340,6 @@ class EepStudy:
     dissipations: np.ndarray
     theta_hat: float | None
     n_dropped: int
-
-    def table(self) -> np.ndarray:
-        return np.column_stack((self.entropies, self.dissipations))
 
 
 def eep_study(records) -> EepStudy:

@@ -33,25 +33,17 @@ from .kinetic1d import Equilibrium, Grid1D, GridDensity1D, solve, uniform_densit
 # ---------------------------------------------------------------------------
 
 
-def linear_fit(x, y) -> tuple[float, float, float]:
-    """Least-squares slope, intercept and R^2."""
+def linear_fit(x, y) -> tuple[float, float, float, float]:
+    """Least-squares slope, intercept, R^2 and standard error of the slope."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2
-
-
-def slope_standard_error(x, y) -> float:
-    """Standard error of the least-squares slope."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    slope, intercept, _ = linear_fit(x, y)
-    resid = y - (slope * x + intercept)
     dof = max(x.size - 2, 1)
-    return float(np.sqrt(np.sum(resid**2) / dof / np.sum((x - x.mean()) ** 2)))
+    se = float(np.sqrt(np.sum(resid**2) / dof / np.sum((x - x.mean()) ** 2)))
+    return float(slope), float(intercept), r2, se
 
 
 def exponential_rate(times, values) -> tuple[float, float, float]:
@@ -60,8 +52,8 @@ def exponential_rate(times, values) -> tuple[float, float, float]:
     if (values <= 0).any():
         raise DataError("exponential fit needs positive values")
     log_values = np.log(values)
-    slope, _, r2 = linear_fit(times, log_values)
-    return -slope, r2, slope_standard_error(times, log_values)
+    slope, _, r2, se = linear_fit(times, log_values)
+    return -slope, r2, se
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +312,7 @@ def chaos_scaling(config: ChaosStudyConfig, q0: GridDensity1D) -> StudyReport:
 
     log_n = np.log(config.n_list)
     log_w = np.log([stats[n]["w1_t0_mean"] for n in config.n_list])
-    slope, _, r2 = linear_fit(log_n, log_w)
-    se = slope_standard_error(log_n, log_w)
+    slope, _, r2, se = linear_fit(log_n, log_w)
     report.add_rate("sampling_slope_t0", slope, ci=(slope - 2 * se, slope + 2 * se))
     report.add_check("t0_sampling_rate", -0.6 <= slope <= -0.4, value=slope, r2=r2)
 
@@ -401,7 +392,7 @@ def entropy_decay_study(
     report.add_check("semilog_fit_r2", r2 > 0.95, r2=r2, rate=rate)
 
     # dissipation on a coarser cadence feeds the entropy-dissipation table
-    observer = TrajectoryObserver(m1=q0.mean, wasserstein=False)
+    observer = TrajectoryObserver(wasserstein=False)
     stride = max(1, int(round(0.25 / dt)))
     dissipations = np.full(times.size, math.nan)
     for k in range(0, times.size, stride):

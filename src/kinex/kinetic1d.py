@@ -113,10 +113,6 @@ class Equilibrium:
         x = np.asarray(x, dtype=float)
         return np.where(x >= 0, np.exp(-x / self.m1) / self.m1, 0.0)
 
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        return -self.m1 * np.log1p(-u)
-
     def on_grid(self, grid: Grid1D) -> GridDensity1D:
         return GridDensity1D(grid, self.density(grid.nodes))
 
@@ -127,16 +123,6 @@ def uniform_density(grid: Grid1D, a: float, b: float) -> GridDensity1D:
         raise ConfigError(f"need 0 <= a < b <= x_max, got [{a}, {b}]")
     inside = (grid.nodes >= a) & (grid.nodes < b)
     return GridDensity1D(grid, inside / (b - a))
-
-
-def dirac_density(grid: Grid1D, x0: float) -> GridDensity1D:
-    """One-hot cell approximation of a point mass at x0."""
-    idx = int(x0 / grid.dx)
-    if not 0 <= idx < grid.n_cells:
-        raise ConfigError(f"x0={x0} outside the grid")
-    values = np.zeros(grid.n_cells)
-    values[idx] = 1.0 / grid.dx
-    return GridDensity1D(grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +147,14 @@ def self_convolution(q: GridDensity1D) -> np.ndarray:
     return c * q.grid.dx
 
 
-def gain(q: GridDensity1D, mass_check: bool = True) -> GridDensity1D:
+def gain(q: GridDensity1D) -> GridDensity1D:
     """Collision gain Q+[q]: law of U*(X+Y) for X, Y iid q, U ~ Uniform[0,1].
 
     Computed as the tail integral over m of c(m)/m with c the discrete
     self-convolution; output mass equals mass(q)^2 up to the truncation
     tail beyond x_max. The result is nonincreasing in x by construction.
     """
-    if mass_check and not 0.9 <= q.mass <= 1.1:
+    if not 0.9 <= q.mass <= 1.1:
         raise DomainError(f"gain expects a (near-)probability density, mass={q.mass}")
     c = self_convolution(q)
     shells = c / np.arange(1, c.size + 1)  # c(m)/m * dx at m = (k+1) dx
@@ -213,9 +199,6 @@ class Trajectory:
     snapshots: list[GridDensity1D] = field(default_factory=list)
     final: GridDensity1D | None = None
     tail_loss: float = 0.0  # cumulative mass lost past x_max
-
-    def moment_series(self, k: int) -> np.ndarray:
-        return np.array([snap.moment(k) for snap in self.snapshots])
 
 
 def solve(q0: GridDensity1D, t_final: float, dt: float, snapshot_times=None, observers=()) -> Trajectory:

@@ -52,35 +52,11 @@ class WealthVector:
     def n_agents(self) -> int:
         return self.balances.size
 
-    def copy(self) -> "WealthVector":
-        return WealthVector(self.balances)
-
     def mean(self) -> float:
         return self.total / self.n_agents
 
     def moment(self, k: int) -> float:
         return float(np.mean(self.balances**k))
-
-
-def exchange_step(state: WealthVector, i: int, j: int, u: float) -> WealthVector:
-    """Apply one reshuffling event: agents i and j split their pool u : 1-u.
-
-    Pure operation returning a new state; the pooled sum (hence the total)
-    is conserved exactly because the second share is computed as the
-    remainder.
-    """
-    if i == j:
-        raise DomainError(f"exchange needs two distinct agents, got i = j = {i}")
-    if not 0.0 <= u <= 1.0:
-        raise DomainError(f"the split fraction must lie in [0, 1], got {u}")
-    n = state.n_agents
-    if not (0 <= i < n and 0 <= j < n):
-        raise DomainError(f"agent index out of range for N={n}")
-    out = state.copy()
-    pool = out.balances[i] + out.balances[j]
-    out.balances[i] = u * pool
-    out.balances[j] = pool - u * pool
-    return out
 
 
 @dataclass

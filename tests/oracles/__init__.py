@@ -1,15 +1,27 @@
-"""Slow reference evaluations that cross-check the library's single paths.
+"""Test-only oracles: slow reference evaluations and the models they check.
 
-Each computes a library quantity by an independent route: the entropy
-dissipation D[q] by literal sums over the pair grid, the spectral gap
-ratio and the weighted-L2 norm by Gauss-Laguerre quadrature. Only small
-grids and spectra are fed to them.
+No CLI command runs anything in this package. This module holds slow
+reference evaluations that cross-check the library's single paths: the
+entropy dissipation D[q] by literal sums over the pair grid, the spectral
+gap ratio and the weighted-L2 norm by Gauss-Laguerre quadrature, and the
+one-event reshuffle the particle kernel is checked against. Beside it:
+
+- ``moments``: the closed moment hierarchy;
+- ``spectral``: the Laguerre analysis of the linearized flow;
+- ``kinetic2d``: the pair-density solver;
+- ``entropy``: the paper's entropy inequalities on the grid.
+
+Only small grids and spectra are fed to them.
 """
 
 import numpy as np
 
 from kinex import diagnostics as dg
-from kinex import spectral as sp
+from kinex.errors import ConfigError, DomainError
+from kinex.kinetic1d import Grid1D, GridDensity1D
+from kinex.particle import WealthVector
+
+from . import spectral as sp
 
 
 def dissipation(q, method):
@@ -89,3 +101,34 @@ def norm_weighted(h):
     """Weighted-L2 norm of a callable h by quadrature."""
     x, w = sp.quadrature_nodes()
     return float(np.sqrt(np.sum(w * np.asarray(h(x), dtype=float) ** 2)))
+
+
+def exchange_step(state: WealthVector, i: int, j: int, u: float) -> WealthVector:
+    """Apply one reshuffling event: agents i and j split their pool u : 1-u.
+
+    Pure operation returning a new state; the pooled sum (hence the total)
+    is conserved exactly because the second share is computed as the
+    remainder.
+    """
+    if i == j:
+        raise DomainError(f"exchange needs two distinct agents, got i = j = {i}")
+    if not 0.0 <= u <= 1.0:
+        raise DomainError(f"the split fraction must lie in [0, 1], got {u}")
+    n = state.n_agents
+    if not (0 <= i < n and 0 <= j < n):
+        raise DomainError(f"agent index out of range for N={n}")
+    out = WealthVector(state.balances)
+    pool = out.balances[i] + out.balances[j]
+    out.balances[i] = u * pool
+    out.balances[j] = pool - u * pool
+    return out
+
+
+def dirac_density(grid: Grid1D, x0: float) -> GridDensity1D:
+    """One-hot cell approximation of a point mass at x0."""
+    idx = int(x0 / grid.dx)
+    if not 0 <= idx < grid.n_cells:
+        raise ConfigError(f"x0={x0} outside the grid")
+    values = np.zeros(grid.n_cells)
+    values[idx] = 1.0 / grid.dx
+    return GridDensity1D(grid, values)

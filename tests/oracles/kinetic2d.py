@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError
-from .kinetic1d import Grid1D, GridDensity1D
+from kinex.errors import ConfigError, DataError, DomainError
+from kinex.kinetic1d import Grid1D, GridDensity1D
 
 MAX_CELLS = 512
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from kinex.errors import ConfigError, DomainError
 
 # Binomials overflow the double mantissa well before k = 60; cap the order
 # where the quadratic sums are still exactly representable.

