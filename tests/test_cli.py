@@ -266,11 +266,12 @@ class TestPde:
 
 
 class TestGoldenArtifacts:
-    """SHA-256 of every file three small runs write, manifest included.
+    """SHA-256 of every file four runs write, manifest included.
 
     Any change to an artifact's bytes fails here; update a hash only for an
     intended change of output. The pde start has 120 zero cells, so its
-    first record takes the D = +inf branch.
+    first record takes the D = +inf branch. figure1 runs at full size: it
+    is pure particle work, so it hashes the same under every BLAS kernel.
     """
 
     CASES = {
@@ -297,6 +298,14 @@ class TestGoldenArtifacts:
                 "manifest.json": "8c2cb4353fd4df4d9d7e6a4ef4504c0950b06bc0ec3829677798b94f394c1601",
                 "report.json": "4732058e631aec9e12b24e33d4902f157f7a5881f8eb68185b05fd635c11495b",
                 "series.csv": "fc118fb454037cb02ab4b0b872b45d3f832a002a65d47ba010f6377c26fc92ad",
+            },
+        ),
+        "figure1": (
+            ["study", "--study", "figure1", "--seed", "0"],
+            {
+                "manifest.json": "671d6077cab8d14d8e9b00d6b7f113d5fcc5ce0a3b61c05ff82a65ea855ccc56",
+                "report.json": "7bdb440b5dca38c984e8a2bbff840c9d7b5cdc7611f9c8c5d7f1b0dd6221b575",
+                "series.csv": "82d79f542ab8406af9aa1b1503af9a0a27672be29dd6e3d1bb83689097a43c24",
             },
         ),
     }
