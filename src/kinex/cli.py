@@ -25,7 +25,13 @@ from .diagnostics import TrajectoryObserver, write_records_csv
 from .errors import KinexError
 from .kinetic1d import Equilibrium, Grid1D, GridDensity1D, load_density, save_density, solve, uniform_density
 
-_STUDIES = ("chaos", "contraction", "figure1", "entropy")
+# --study name -> its function in experiments
+_STUDIES = {
+    "chaos": "chaos_scaling",
+    "contraction": "contraction_study",
+    "figure1": "figure1_reproduction",
+    "entropy": "entropy_decay_study",
+}
 
 
 def _read_config_file(path: str) -> dict:
@@ -98,6 +104,10 @@ def _seed(raw) -> int:
     return value
 
 
+def _population_sizes(raw) -> tuple:
+    return _parse_values(raw, int, "population size")
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 2:
@@ -132,12 +142,12 @@ PDE_SCHEMA = {
 STUDY_SCHEMA = {
     "study": (None, str),
     "seed": (0, _seed),
-    "n_list": (None, str),
+    "n_list": (None, _population_sizes),
     "replicas": (None, int),
     "t": (None, _positive_float),
 }
-# STUDY_SCHEMA keys that only the chaos study reads, with its defaults
-_CHAOS_DEFAULTS = {"n_list": "100,1000,10000", "replicas": 20, "t": 5.0}
+# STUDY_SCHEMA keys that only the chaos study reads -> chaos_scaling arguments
+_CHAOS_ARGS = {"n_list": "n_list", "replicas": "replicas", "t": "t_eval"}
 
 
 def _sha256(path: str) -> str:
@@ -234,28 +244,12 @@ def cmd_pde(args) -> int:
 def cmd_study(args) -> int:
     conf = _merge_config(args, STUDY_SCHEMA)
     name = conf["study"]
-    given = [key for key in _CHAOS_DEFAULTS if conf[key] is not None]
+    given = [key for key in _CHAOS_ARGS if conf[key] is not None]
     if name != "chaos" and given:
         raise KinexError(f"study {name} takes no {', '.join(given)}; only the chaos study reads them")
     out = _out_dir(args)
-    if name == "figure1":
-        report = ex.figure1_reproduction(seed=conf["seed"])
-    elif name == "contraction":
-        report = ex.contraction_study(seed=conf["seed"])
-    elif name == "chaos":
-        chaos = {key: default if conf[key] is None else conf[key] for key, default in _CHAOS_DEFAULTS.items()}
-        n_list = _parse_values(chaos["n_list"], int, "population size")
-        grid = Grid1D.from_spacing(20.0, 0.01)
-        q0 = Equilibrium(1.0).on_grid(grid).normalized()
-        config = ex.ChaosStudyConfig(
-            n_list=n_list,
-            replicas=chaos["replicas"],
-            seed=conf["seed"],
-            t_eval=chaos["t"],
-        )
-        report = ex.chaos_scaling(config, q0)
-    else:
-        report = ex.entropy_decay_study(seed=conf["seed"])
+    study = getattr(ex, _STUDIES[name])  # at call time, so a rebound attribute is the one run
+    report = study(seed=conf["seed"], **{_CHAOS_ARGS[key]: conf[key] for key in given})
     report.write_artifacts(out)
     status = "pass" if report.passed else "FAIL"
     print(f"study {name}: {status}, artifacts in {out}")

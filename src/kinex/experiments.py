@@ -2,9 +2,13 @@
 
 Each study returns a StudyReport holding per-check pass/fail, fitted rates
 with confidence intervals, and the raw series; write_artifacts() emits
-report.json, series.csv and manifest.json. All randomness flows from
-explicit seeds through numpy SeedSequence spawning, so a study re-run with
-the same configuration reproduces its artifacts byte for byte.
+report.json, series.csv and manifest.json. A study's fixed parameters are
+one module constant (FIGURE1, CONTRACTION, CHAOS, ENTROPY), and the
+manifest records that constant next to the arguments the study takes:
+`seed` everywhere, plus `n_list`, `replicas` and `t_eval` for the chaos
+study. All randomness flows from explicit seeds through numpy SeedSequence
+spawning, so a study re-run with the same arguments reproduces its
+artifacts byte for byte.
 """
 
 from __future__ import annotations
@@ -119,24 +123,19 @@ def _sample_from_density(q: GridDensity1D, n: int, rng: np.random.Generator) -> 
 # ---------------------------------------------------------------------------
 
 
-def figure1_reproduction(
-    seed: int = 0,
-    n_agents: int = 10_000,
-    t_final: float = 1000.0,
-    start: float = 10.0,
-    bin_width: float = 1.0,
-) -> StudyReport:
+FIGURE1 = {"n_agents": 10_000, "t_final": 1000.0, "start": 10.0, "bin_width": 1.0}
+
+
+def figure1_reproduction(seed: int = 0) -> StudyReport:
     """Constant-start run whose final histogram must match Exp(start).
 
     Checks: W1(final empirical, exponential) < 0.2, empirical mean exactly
     conserved, second moment within the CLT band [190, 210] (for the
-    default 10-dollar start).
+    10-dollar start).
     """
-    report = StudyReport(
-        "figure1",
-        {"seed": seed, "n_agents": n_agents, "t_final": t_final, "start": start, "bin_width": bin_width},
-    )
-    config = pt.SimConfig(n_agents=n_agents, t_final=t_final, seed=seed)
+    report = StudyReport("figure1", {"seed": seed, **FIGURE1})
+    n_agents, start, bin_width = FIGURE1["n_agents"], FIGURE1["start"], FIGURE1["bin_width"]
+    config = pt.SimConfig(n_agents=n_agents, t_final=FIGURE1["t_final"], seed=seed)
     traj = pt.simulate(config, pt.make_initial(f"constant:{start}", n_agents))
     final = traj.final
 
@@ -164,15 +163,12 @@ def figure1_reproduction(
 # ---------------------------------------------------------------------------
 
 
-def contraction_study(
-    seed: int = 0,
-    t_final: float = 20.0,
-    dx: float = 0.01,
-    dt: float = 0.02,
-    coupled_n: int = 100_000,
-    coupled_m1: float = 5.0,
-    coupled_t: float = 10.0,
-) -> StudyReport:
+CONTRACTION = {
+    "t_final": 20.0, "dx": 0.01, "dt": 0.02, "coupled_n": 100_000, "coupled_m1": 5.0, "coupled_t": 10.0,
+}
+
+
+def contraction_study(seed: int = 0) -> StudyReport:
     """Two routes to the exp(-t/6) contraction toward equilibrium.
 
     PDE route: W2(q_t, q_inf) from a Uniform[0,2] start must stay under
@@ -181,19 +177,11 @@ def contraction_study(
     once its conserved-offset floor is subtracted, and its square root must
     respect the envelope when the means are matched.
     """
-    report = StudyReport(
-        "contraction",
-        {
-            "seed": seed,
-            "t_final": t_final,
-            "dx": dx,
-            "dt": dt,
-            "coupled_n": coupled_n,
-            "coupled_m1": coupled_m1,
-            "coupled_t": coupled_t,
-        },
+    report = StudyReport("contraction", {"seed": seed, **CONTRACTION})
+    t_final, dt, coupled_n, coupled_m1, coupled_t = (
+        CONTRACTION[k] for k in ("t_final", "dt", "coupled_n", "coupled_m1", "coupled_t")
     )
-    grid = Grid1D.from_spacing(20.0, dx)
+    grid = Grid1D.from_spacing(20.0, CONTRACTION["dx"])
     q0 = uniform_density(grid, 0.0, 2.0)
     equilibrium = Equilibrium(1.0).on_grid(grid).normalized()
     snap_times = np.arange(0.0, t_final + 1e-9, 0.5)
@@ -240,44 +228,35 @@ def contraction_study(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ChaosStudyConfig:
-    n_list: tuple = (100, 1000, 10_000)
-    t_eval: float = 5.0
-    replicas: int = 20
-    seed: int = 0
-    dx: float = 0.01
-    dt: float = 0.01
-
-    def __post_init__(self):
-        self.n_list = tuple(int(n) for n in self.n_list)
-        if list(self.n_list) != sorted(set(self.n_list)):
-            raise ConfigError("n_list must be strictly increasing")
-        if self.replicas < 10:
-            raise ConfigError("need at least 10 replicas per population size")
+CHAOS = {"dx": 0.01, "dt": 0.01}
+# the start's domain; not a manifest param, which keeps the chaos manifest's bytes
+_CHAOS_X_MAX = 20.0
 
 
-def chaos_scaling(config: ChaosStudyConfig, q0: GridDensity1D) -> StudyReport:
+def chaos_scaling(
+    seed: int = 0,
+    n_list: tuple = (100, 1000, 10_000),
+    replicas: int = 20,
+    t_eval: float = 5.0,
+) -> StudyReport:
     """Expected W1 between the empirical measure and the PDE solution.
 
-    Particles start iid from q0, so the initial expected W1 follows the
-    classical sampling rate ~ N^{-1/2} (checked as a log-log slope); at
-    t_eval the mean distance must decrease in N with non-overlapping
-    +-2 SE bands.
+    Particles start iid from Equilibrium(1.0) on [0, 20], so the initial
+    expected W1 follows the classical sampling rate ~ N^{-1/2} (checked as
+    a log-log slope over at least two sizes); at t_eval the mean distance
+    must decrease in N with non-overlapping +-2 SE bands.
     """
-    report = StudyReport(
-        "chaos",
-        {
-            "n_list": list(config.n_list),
-            "t_eval": config.t_eval,
-            "replicas": config.replicas,
-            "seed": config.seed,
-            "dx": config.dx,
-            "dt": config.dt,
-            "q0_mean": q0.mean,
-        },
-    )
-    traj = solve(q0, config.t_eval, config.dt)
+    n_list = tuple(int(n) for n in n_list)
+    if list(n_list) != sorted(set(n_list)):
+        raise ConfigError("n_list must be strictly increasing")
+    if len(n_list) < 2:
+        raise ConfigError(f"n_list needs at least two population sizes to fit a slope, got {n_list}")
+    if replicas < 10:
+        raise ConfigError("need at least 10 replicas per population size")
+    q0 = Equilibrium(1.0).on_grid(Grid1D.from_spacing(_CHAOS_X_MAX, CHAOS["dx"])).normalized()
+    report = StudyReport("chaos", {"seed": seed, "n_list": list(n_list), "replicas": replicas, "t_eval": t_eval,
+                                   **CHAOS, "q0_mean": q0.mean})
+    traj = solve(q0, t_eval, CHAOS["dt"])
     q_t = traj.final.normalized()
     if abs(q_t.mean - q0.mean) > 1e-3:
         raise DataError(f"PDE mean drifted {q_t.mean - q0.mean:.2e}; check the grid")
@@ -287,38 +266,38 @@ def chaos_scaling(config: ChaosStudyConfig, q0: GridDensity1D) -> StudyReport:
         rng = np.random.default_rng(child)
         start = _sample_from_density(q0n, n, rng)
         w_init = wasserstein1(start, q0n)
-        sim = pt.SimConfig(n_agents=n, t_final=config.t_eval, seed=int(child.generate_state(1)[0]))
+        sim = pt.SimConfig(n_agents=n, t_final=t_eval, seed=int(child.generate_state(1)[0]))
         out = pt.simulate(sim, pt.WealthVector(start))
         return w_init, wasserstein1(out.final.balances, q_t)
 
     stats = {}
-    seed_groups = pt.spawn_seeds(config.seed, len(config.n_list))
-    for n, group in zip(config.n_list, seed_groups):
-        results = [replica(n, child) for child in group.spawn(config.replicas)]
+    seed_groups = pt.spawn_seeds(seed, len(n_list))
+    for n, group in zip(n_list, seed_groups):
+        results = [replica(n, child) for child in group.spawn(replicas)]
         w_init = [r[0] for r in results]
         w_final = [r[1] for r in results]
         stats[n] = {
             "w1_t0_mean": float(np.mean(w_init)),
             "w1_mean": float(np.mean(w_final)),
-            "w1_se": float(np.std(w_final, ddof=1) / math.sqrt(config.replicas)),
+            "w1_se": float(np.std(w_final, ddof=1) / math.sqrt(replicas)),
         }
 
-    means = [stats[n]["w1_mean"] for n in config.n_list]
-    ses = [stats[n]["w1_se"] for n in config.n_list]
+    means = [stats[n]["w1_mean"] for n in n_list]
+    ses = [stats[n]["w1_se"] for n in n_list]
     decreasing = all(
         means[k] - 2 * ses[k] > means[k + 1] + 2 * ses[k + 1] for k in range(len(means) - 1)
     )
     report.add_check("w1_decreasing_in_n", decreasing, means=means, ses=ses)
 
-    log_n = np.log(config.n_list)
-    log_w = np.log([stats[n]["w1_t0_mean"] for n in config.n_list])
+    log_n = np.log(n_list)
+    log_w = np.log([stats[n]["w1_t0_mean"] for n in n_list])
     slope, _, r2, se = linear_fit(log_n, log_w)
     report.add_rate("sampling_slope_t0", slope, ci=(slope - 2 * se, slope + 2 * se))
     report.add_check("t0_sampling_rate", -0.6 <= slope <= -0.4, value=slope, r2=r2)
 
     report.series_columns = ["n_agents", "w1_t0_mean", "w1_mean", "w1_se"]
     report.series_rows = [
-        [n, stats[n]["w1_t0_mean"], stats[n]["w1_mean"], stats[n]["w1_se"]] for n in config.n_list
+        [n, stats[n]["w1_t0_mean"], stats[n]["w1_mean"], stats[n]["w1_se"]] for n in n_list
     ]
     return report
 
@@ -356,13 +335,10 @@ def random_positive_density(grid: Grid1D, mean: float, seed: int) -> GridDensity
     return q
 
 
-def entropy_decay_study(
-    seed: int = 42,
-    m1: float = 5.0,
-    dt: float = 0.05,
-    dx: float = 0.01,
-    t_final: float = 10.0,
-) -> StudyReport:
+ENTROPY = {"m1": 5.0, "dt": 0.05, "dx": 0.01, "t_final": 10.0}
+
+
+def entropy_decay_study(seed: int = 42) -> StudyReport:
     """Relative-entropy relaxation at the reference discretization.
 
     Runs the forward Euler solver from a seeded random positive density
@@ -371,11 +347,9 @@ def entropy_decay_study(
     (entropy, dissipation) study with its fitted exponent (reported, never
     pass/fail: those constants are existential).
     """
-    report = StudyReport(
-        "entropy",
-        {"seed": seed, "m1": m1, "dt": dt, "dx": dx, "t_final": t_final},
-    )
-    grid = Grid1D.from_spacing(20.0 * m1, dx)
+    report = StudyReport("entropy", {"seed": seed, **ENTROPY})
+    m1, dt, t_final = ENTROPY["m1"], ENTROPY["dt"], ENTROPY["t_final"]
+    grid = Grid1D.from_spacing(20.0 * m1, ENTROPY["dx"])
     q0 = random_positive_density(grid, m1, seed)
     step_times = np.arange(0.0, t_final + 1e-9, dt)
     traj = solve(q0, t_final, dt, snapshot_times=step_times)

@@ -118,9 +118,15 @@ class Equilibrium:
 
 
 def uniform_density(grid: Grid1D, a: float, b: float) -> GridDensity1D:
-    """Uniform[a, b] sampled on the grid (cells fully inside get 1/(b-a))."""
+    """Uniform[a, b] on the grid: the cells between a and b get 1/(b-a).
+
+    a and b must be cell edges (multiples of dx to 1e-9 relative, as in
+    Grid1D.from_spacing), so the cells cover [a, b] exactly and the mass is 1.
+    """
     if not 0 <= a < b <= grid.x_max:
         raise ConfigError(f"need 0 <= a < b <= x_max, got [{a}, {b}]")
+    if any(abs(round(v / grid.dx) * grid.dx - v) > 1e-9 * v for v in (a, b)):
+        raise ConfigError(f"uniform bounds [{a}, {b}] are not cell edges of dx={grid.dx}")
     inside = (grid.nodes >= a) & (grid.nodes < b)
     return GridDensity1D(grid, inside / (b - a))
 

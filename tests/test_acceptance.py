@@ -186,7 +186,8 @@ def test_criterion_07_entropy_dissipation_identity():
 
 def test_criterion_08_entropy_monotone_reference_run():
     budget = Budget(300)
-    result = ex.entropy_decay_study(seed=42, m1=5.0, dt=0.05, dx=0.01, t_final=10.0)
+    result = ex.entropy_decay_study(seed=42)
+    assert result.params == {"seed": 42, "m1": 5.0, "dt": 0.05, "dx": 0.01, "t_final": 10.0}
     assert result.checks["entropy_strictly_decreasing"]["passed"]
     r2 = result.checks["semilog_fit_r2"]["r2"]
     assert r2 > 0.95
@@ -207,12 +208,9 @@ def test_criterion_09_histogram_reproduction():
 
 def test_criterion_10_propagation_of_chaos():
     budget = Budget(600)
-    grid = Grid1D.from_spacing(20.0, 0.01)
-    q0 = Equilibrium(1.0).on_grid(grid).normalized()
-    config = ex.ChaosStudyConfig(n_list=(100, 1000, 10_000), replicas=20, seed=5, t_eval=5.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        result = ex.chaos_scaling(config, q0)
+        result = ex.chaos_scaling(seed=5, n_list=(100, 1000, 10_000), replicas=20, t_eval=5.0)
     check = result.checks["w1_decreasing_in_n"]
     assert check["passed"], check
     means = check["means"]

@@ -136,15 +136,16 @@ class TestBadInput:
             (["study", "--study", "chaos", "--n-list", "100,200", "--replicas", "10", "--seed", "-1"], "seed=-1"),
             (["pde", "--t", "1", "--init", "random:-1"], "'-1'"),
             (["pde", "--x-max", "3", "--t", "30"], "tail_mass=0.00464"),
-            (["pde", "--dx", "0.05", "--t", "1", "--init", "uniform:0,0.125"], "uniform:0,0.125 has mass 0.8"),
+            (["pde", "--dx", "0.05", "--t", "1", "--init", "uniform:0,0.125"], "[0.0, 0.125] are not cell edges of dx=0.05"),
             (["study", "--study", "figure1", "--t", "5"], "figure1 takes no t"),
+            (["study", "--study", "chaos", "--n-list", "100", "--replicas", "10", "--t", "0.5"], "two population sizes"),
         ],
         ids=[
             "t-inf", "snapshot-token", "snapshot-nan", "constant-token", "exponential-negative",
             "n-list-token", "uniform-token", "snapshot-every-zero", "snapshot-every-negative",
             "dt-nan", "t-nan", "dx-zero", "t-below-half-step", "t-below-step",
             "simulate-seed-negative", "study-seed-negative", "pde-random-seed-negative",
-            "truncation-leak", "start-mass", "study-chaos-only-flag",
+            "truncation-leak", "start-mass", "study-chaos-only-flag", "chaos-one-size",
         ],
     )
     def test_one_line_error_without_delay(self, argv, named, tmp_path, capsys):

@@ -64,10 +64,12 @@ class TestEntropyDecayStudy:
         assert np.all(np.diff(entropy) < 0)
         assert np.all(np.diff(dissip) < 0)
 
-    def test_artifacts_reproducible(self, tmp_path):
+    def test_artifacts_reproducible(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(ex.ENTROPY, "dx", 0.05)
+        monkeypatch.setitem(ex.ENTROPY, "t_final", 4.0)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        ex.entropy_decay_study(seed=3, dx=0.05, t_final=4.0).write_artifacts(str(out_a))
-        ex.entropy_decay_study(seed=3, dx=0.05, t_final=4.0).write_artifacts(str(out_b))
+        ex.entropy_decay_study(seed=3).write_artifacts(str(out_a))
+        ex.entropy_decay_study(seed=3).write_artifacts(str(out_b))
         for name in ("report.json", "series.csv", "manifest.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
         manifest = json.loads((out_a / "manifest.json").read_text())
@@ -85,60 +87,55 @@ class TestContractionStudy:
         for snap in traj.snapshots:
             assert wasserstein2(snap.normalized(), q0) < 1e-4
 
-    def test_small_configuration(self):
-        report = ex.contraction_study(seed=1, t_final=10.0, coupled_n=20_000, coupled_t=6.0)
+    def test_small_configuration(self, monkeypatch):
+        for key, value in (("t_final", 10.0), ("coupled_n", 20_000), ("coupled_t", 6.0)):
+            monkeypatch.setitem(ex.CONTRACTION, key, value)
+        report = ex.contraction_study(seed=1)
         assert report.passed, report.checks
         assert 0.30 <= report.rates["coupled_msd_rate"]["value"] <= 0.36
 
 
 class TestChaosScaling:
-    @pytest.fixture
-    def q0(self):
-        grid = Grid1D.from_spacing(20.0, 0.01)
-        return Equilibrium(1.0).on_grid(grid).normalized()
-
-    def test_small_study_passes(self, q0):
-        config = ex.ChaosStudyConfig(n_list=(100, 400, 1600), replicas=12, seed=3, t_eval=2.0)
+    def test_small_study_passes(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            report = ex.chaos_scaling(config, q0)
+            report = ex.chaos_scaling(seed=3, n_list=(100, 400, 1600), replicas=12, t_eval=2.0)
         assert report.checks["w1_decreasing_in_n"]["passed"], report.checks
         assert -0.6 <= report.rates["sampling_slope_t0"]["value"] <= -0.4
 
-    def test_deterministic_given_seed(self, q0):
-        config = ex.ChaosStudyConfig(n_list=(50, 200), replicas=10, seed=5, t_eval=1.0)
+    def test_deterministic_given_seed(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            a = ex.chaos_scaling(config, q0)
-            b = ex.chaos_scaling(config, q0)
+            a = ex.chaos_scaling(seed=5, n_list=(50, 200), replicas=10, t_eval=1.0)
+            b = ex.chaos_scaling(seed=5, n_list=(50, 200), replicas=10, t_eval=1.0)
         assert a.series_rows == b.series_rows
 
-    def test_manifest_params_are_machine_independent(self, q0):
+    def test_manifest_params_are_machine_independent(self):
         # nothing hashed into config_sha256 may depend on the host, such as its core count
-        config = ex.ChaosStudyConfig(n_list=(50, 200), replicas=10, seed=5, t_eval=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            report = ex.chaos_scaling(config, q0)
+            report = ex.chaos_scaling(seed=5, n_list=(50, 200), replicas=10, t_eval=1.0)
         assert set(report.params) == {"n_list", "t_eval", "replicas", "seed", "dx", "dt", "q0_mean"}
 
     def test_config_guards(self):
-        with pytest.raises(ConfigError):
-            ex.ChaosStudyConfig(n_list=(100, 100))
-        with pytest.raises(ConfigError):
-            ex.ChaosStudyConfig(replicas=3)
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            ex.chaos_scaling(n_list=(100, 100))
+        with pytest.raises(ConfigError, match="two population sizes"):
+            ex.chaos_scaling(n_list=(100,))
+        with pytest.raises(ConfigError, match="10 replicas"):
+            ex.chaos_scaling(replicas=3)
 
-    def test_mean_drift_guard(self):
+    def test_mean_drift_guard(self, monkeypatch):
         # a domain far too short for the support makes the PDE mean drift
-        grid = Grid1D(4.0, 400)
-        q0 = Equilibrium(1.0).on_grid(grid).normalized()
-        config = ex.ChaosStudyConfig(n_list=(50, 100), replicas=10, seed=1, t_eval=1.5)
+        monkeypatch.setattr(ex, "_CHAOS_X_MAX", 4.0)
         with pytest.raises(DataError):
-            ex.chaos_scaling(config, q0)
+            ex.chaos_scaling(seed=1, n_list=(50, 100), replicas=10, t_eval=1.5)
 
 
 class TestFigure1Study:
-    def test_reduced_horizon_run(self):
-        report = ex.figure1_reproduction(seed=1, t_final=200.0)
+    def test_reduced_horizon_run(self, monkeypatch):
+        monkeypatch.setitem(ex.FIGURE1, "t_final", 200.0)
+        report = ex.figure1_reproduction(seed=1)
         assert report.passed, report.checks
         assert report.checks["mean_conserved"]["value"] == pytest.approx(10.0, abs=1e-9)
         assert report.series_columns[0] == "x"

@@ -60,6 +60,14 @@ class TestGrid:
         with pytest.raises(DomainError):
             GridDensity1D(g, np.full(16, -1.0))
 
+    @pytest.mark.parametrize("a, b", [(0.0, 0.125), (0.0, 0.13), (0.01, 0.1)])
+    def test_uniform_bounds_off_cell_edges(self, a, b):
+        # midpoint sampling would give these starts mass 0.8, 1.154 and 1.111
+        grid = Grid1D.from_spacing(20.0, 0.05)
+        with pytest.raises(ConfigError, match=r"not cell edges of dx=0\.05"):
+            uniform_density(grid, a, b)
+        assert uniform_density(grid, 0.05, 0.15).mass == pytest.approx(1.0, abs=1e-12)
+
 
 class TestGain:
     def test_equilibrium_fixed_point(self):
