@@ -72,9 +72,8 @@ def _merge_config(args: argparse.Namespace, schema: dict) -> dict:
 
 
 def _out_dir(args) -> str:
-    out = args.out or os.environ.get("KINEX_OUT") or "kinex-out"
-    os.makedirs(out, exist_ok=True)
-    return out
+    """The output path; a command creates it only before its first write, so a refused run leaves none."""
+    return args.out or os.environ.get("KINEX_OUT") or "kinex-out"
 
 
 def _parse_values(text: str, convert, what: str, count: int | None = None) -> tuple:
@@ -172,6 +171,7 @@ def cmd_simulate(args) -> int:
     initial = pt.make_initial(conf["init"], conf["n"], np.random.SeedSequence(conf["seed"]))
     traj = pt.simulate(config, initial)
 
+    os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "summary.csv"), "w") as f:
         f.write("time,stat_name,value\n")
         for t, snap in zip(traj.times, traj.snapshots):
@@ -228,6 +228,7 @@ def cmd_pde(args) -> int:
     observer = TrajectoryObserver()
     snap_times = np.arange(0.0, conf["t"] + 1e-9, conf["snapshot_every"])
     traj = solve(q0, conf["t"], conf["dt"], snapshot_times=snap_times, observers=(observer,))
+    os.makedirs(out, exist_ok=True)
     write_records_csv(observer.records, os.path.join(out, "diagnostics.csv"))
     save_density(traj.final, os.path.join(out, "final_density.csv"))
     manifest = {"command": "pde", **conf, "x_max": x_max, **provenance}

@@ -25,6 +25,7 @@ from . import particle as pt
 from .diagnostics import (
     TrajectoryObserver,
     eep_study,
+    linear_fit,
     relative_entropy,
     wasserstein1,
     wasserstein2,
@@ -35,19 +36,6 @@ from .kinetic1d import Equilibrium, Grid1D, GridDensity1D, solve, uniform_densit
 # ---------------------------------------------------------------------------
 # fit helpers
 # ---------------------------------------------------------------------------
-
-
-def linear_fit(x, y) -> tuple[float, float, float, float]:
-    """Least-squares slope, intercept, R^2 and standard error of the slope."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    dof = max(x.size - 2, 1)
-    se = float(np.sqrt(np.sum(resid**2) / dof / np.sum((x - x.mean()) ** 2)))
-    return float(slope), float(intercept), r2, se
 
 
 def exponential_rate(times, values) -> tuple[float, float, float]:

@@ -8,6 +8,11 @@ operations: the convolution of two midpoint-sampled densities lands exactly
 on midpoints of the doubled domain, and the 1/m factor is evaluated at cell
 centers so it never touches m = 0.
 
+The self-convolution is one real FFT at every grid size; cells outside the
+sumset of q's support, where the exact convolution is 0, are set to 0. No
+step calls BLAS, whose summation order depends on the CPU, so a run writes
+the same bytes on every CPU for a given numpy version.
+
 Mass escaping beyond x_max is dropped, not renormalized, so conservation
 stays an honest diagnostic (see Trajectory.tail_loss).
 """
@@ -22,10 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, StabilityError
-
-# Direct convolution up to this size, FFT beyond; both paths agree to 1e-12.
-# Only the direct path keeps the exact zeros the log-ratio diagnostics need.
-_DIRECT_CONV_LIMIT = 4096
 
 # Input values down to -_NEGATIVITY_CLIP are rounding noise and read as 0.
 _NEGATIVITY_CLIP = 1e-14
@@ -136,20 +137,31 @@ def uniform_density(grid: Grid1D, a: float, b: float) -> GridDensity1D:
 # ---------------------------------------------------------------------------
 
 
+def _fft_square(v: np.ndarray) -> np.ndarray:
+    """The 2*len(v) - 1 values of the linear self-convolution of v, by one real FFT."""
+    n = 2 * v.size - 1
+    nfft = 1 << (n - 1).bit_length()
+    return np.fft.irfft(np.fft.rfft(v, nfft) ** 2, nfft)[:n]
+
+
 def self_convolution(q: GridDensity1D) -> np.ndarray:
     """Discrete c = q*q on the doubled midpoint grid, c[k] at (k+1)*dx.
 
-    Returns 2*n_cells - 1 values; sum(c)*dx equals mass(q)^2 exactly.
+    Returns 2*n_cells - 1 values; sum(c)*dx equals mass(q)^2 up to FFT
+    round-off. c is exactly 0 outside the sumset of the nonzero cells of q:
+    [2a, 2b] when those form one interval [a, b], else the cells where the
+    FFT of the 0/1 indicator rounds to a pair count of 0.
     """
     v = q.values
-    if q.grid.n_cells <= _DIRECT_CONV_LIMIT:
-        c = np.convolve(v, v)
+    c = _fft_square(v)
+    nonzero = np.flatnonzero(v)
+    if nonzero.size and nonzero[-1] - nonzero[0] + 1 == nonzero.size:
+        c[: 2 * nonzero[0]] = 0.0
+        c[2 * nonzero[-1] + 1 :] = 0.0
     else:
-        n = 2 * v.size - 1
-        nfft = 1 << (n - 1).bit_length()
-        c = np.fft.irfft(np.fft.rfft(v, nfft) ** 2, nfft)[:n]
-        # convolution of nonnegative sequences; FFT round-off may dip below 0
-        np.maximum(c, 0.0, out=c)
+        c[np.rint(_fft_square(v > 0)) == 0] = 0.0
+    # convolution of nonnegative sequences; FFT round-off may dip below 0
+    np.maximum(c, 0.0, out=c)
     return c * q.grid.dx
 
 

@@ -3,15 +3,28 @@ import hashlib
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import kinex
 from kinex.cli import build_parser, main
 from kinex.kinetic1d import Equilibrium, Grid1D, save_density, uniform_density
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(kinex.__file__).parents[1]
+
+
+def numpy_blas() -> str:
+    """Name of numpy's BLAS library, '' when this numpy cannot report it."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return ""
 
 
 @pytest.fixture(autouse=True)
@@ -156,7 +169,7 @@ class TestBadInput:
         signal.alarm(5)
         try:
             start = time.perf_counter()
-            code, _ = run(argv, tmp_path)
+            code, out = run(argv, tmp_path)
             elapsed = time.perf_counter() - start
         finally:
             signal.alarm(0)
@@ -164,6 +177,7 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert code == 1
         assert elapsed < 1.0
+        assert not out.exists()  # a refused run leaves no output directory
         assert "Traceback" not in err
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("kinex: error:") and named in lines[0], err
@@ -271,8 +285,9 @@ class TestGoldenArtifacts:
 
     Any change to an artifact's bytes fails here; update a hash only for an
     intended change of output. The pde start has 120 zero cells, so its
-    first record takes the D = +inf branch. figure1 runs at full size: it
-    is pure particle work, so it hashes the same under every BLAS kernel.
+    first record takes the D = +inf branch. figure1 runs at full size. No
+    run reaches BLAS, so each hash holds under every OpenBLAS kernel
+    (TestCrossKernel).
     """
 
     CASES = {
@@ -287,9 +302,9 @@ class TestGoldenArtifacts:
         "pde": (
             ["pde", "--dx", "0.05", "--t", "1", "--init", "random:42"],
             {
-                "diagnostics.csv": "68d6e8422b6afd4dac2fe2b156dfa18981a3633e5e63504ae64744a8fafb781b",
-                "final_density.csv": "efea137d20ad3ecc8f7a156f92186451c799cd96a20266cf365010c7491de7ba",
-                "final_density.csv.json": "794d8fb9f670b37d928e3c031d4b82db4ac931dd0caeab6ad41b10852af775ee",
+                "diagnostics.csv": "53fb9878b414b7e85054ea3073bcda2d0924c1e1ac9e9ce5f3ff21c5b5883de2",
+                "final_density.csv": "e1cc12b4d89141a47d2c1c44015d7fc1fbf924fcfafdbad05c28f239debcf1a9",
+                "final_density.csv.json": "543cb58578275c0833cea3ea3ed2b4b90ebeafa2554168613b9ebd618d8cf273",
                 "manifest.json": "3d730d58a52478c5b0c95568075bba71df491f8b7bda6a3d6934d862762f7b85",
             },
         ),
@@ -297,8 +312,8 @@ class TestGoldenArtifacts:
             ["study", "--study", "chaos", "--n-list", "50,200", "--replicas", "10", "--t", "1"],
             {
                 "manifest.json": "8c2cb4353fd4df4d9d7e6a4ef4504c0950b06bc0ec3829677798b94f394c1601",
-                "report.json": "4732058e631aec9e12b24e33d4902f157f7a5881f8eb68185b05fd635c11495b",
-                "series.csv": "fc118fb454037cb02ab4b0b872b45d3f832a002a65d47ba010f6377c26fc92ad",
+                "report.json": "120fbc198e33872be41058561c8c6107a73c14622cc7df69137d219347829bbf",
+                "series.csv": "2468a36d562d9c4b6b693f54fbdb688c9b9b5287f4c9f39a04b1415309c7bc75",
             },
         ),
         "figure1": (
@@ -318,6 +333,40 @@ class TestGoldenArtifacts:
         assert code == 0
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert got == expected
+
+
+class TestCrossKernel:
+    """The golden runs and a small contraction write the same bytes under every OpenBLAS kernel.
+
+    OPENBLAS_CORETYPE forces the kernel of one process, and each kernel sums
+    a dot product in its own order, so an artifact path that reaches BLAS
+    shows up here as a byte difference.
+    """
+
+    # the contraction PDE stays on its M = 2000 grid, for 100 steps instead of 1000
+    MAIN = ("import sys; from kinex import cli, experiments; "
+            "experiments.CONTRACTION.update(t_final=2.0, coupled_n=2000, coupled_t=2.0); "
+            "sys.exit(cli.main(sys.argv[1:]))")
+    CASES = {
+        **{name: argv for name, (argv, _) in TestGoldenArtifacts.CASES.items()},
+        "contraction": ["study", "--study", "contraction"],
+    }
+
+    @pytest.mark.skipif("openblas" not in numpy_blas(), reason="numpy's BLAS is not OpenBLAS")
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_same_bytes_under_every_kernel(self, case, tmp_path):
+        digests = {}
+        for kernel in ("default", "Haswell", "Prescott"):
+            env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+            if kernel != "default":
+                env["OPENBLAS_CORETYPE"] = kernel
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+            out = tmp_path / kernel
+            proc = subprocess.run([sys.executable, "-c", self.MAIN, *self.CASES[case], "--out", str(out)],
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode in (0, 1) and out.is_dir(), proc.stderr
+            digests[kernel] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert all(d == digests["default"] for d in digests.values()), digests
 
 
 class TestStudy:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from kinex import kinetic1d
+from kinex.diagnostics import _direct_self_convolution
 from kinex.errors import ConfigError, DataError, DomainError, StabilityError
 from kinex.kinetic1d import (
     Equilibrium,
@@ -137,16 +137,29 @@ class TestGain:
         with pytest.raises(DomainError):
             GridDensity1D(grid_fine, values)
 
-    def test_fft_matches_direct(self, monkeypatch):
+    def test_fft_matches_direct(self):
         for n_cells in (64, 256, 512):
             grid = Grid1D(20.0, n_cells)
             q = Equilibrium(1.0).on_grid(grid)
-            direct = self_convolution(q)
-            assert np.array_equal(direct, np.convolve(q.values, q.values) * grid.dx)
-            with monkeypatch.context() as m:
-                m.setattr(kinetic1d, "_DIRECT_CONV_LIMIT", 0)
-                fft = self_convolution(q)
-            assert np.max(np.abs(direct - fft)) < 1e-12
+            direct = _direct_self_convolution(q.values) * grid.dx
+            assert np.max(np.abs(direct - self_convolution(q))) < 1e-12
+            # the BLAS-free sum against BLAS, cell by cell: positive terms, relative error ~ M * eps
+            reference = np.convolve(q.values, q.values) * grid.dx
+            assert np.all(np.abs(direct - reference) <= 1e-12 * reference)
+
+    @pytest.mark.parametrize(
+        "cells", [list(range(5, 40)), [3, 4, 9, 30, 31, 32, 60]], ids=["interval", "gapped"]
+    )
+    def test_support_mask_zeroes_outside_sumset(self, cells):
+        grid = Grid1D(20.0, 64)
+        values = np.zeros(grid.n_cells)
+        values[cells] = np.random.default_rng(5).uniform(0.5, 1.5, len(cells))
+        q = GridDensity1D(grid, values)
+        sumset = sorted({i + j for i in cells for j in cells})
+        outside = np.setdiff1d(np.arange(2 * grid.n_cells - 1), sumset)
+        for c in (self_convolution(q), _direct_self_convolution(values)):
+            assert np.all(c[outside] == 0.0)
+            assert np.all(c[sumset] > 0.0)
 
     def test_refinement_halves_residual(self):
         residuals = []
