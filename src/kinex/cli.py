@@ -6,7 +6,10 @@ enough to reproduce the outputs byte for byte. Flags override values from
 an optional key=value config file. Output goes to --out, defaulting to the
 KINEX_OUT environment variable or ./kinex-out.
 
-Exit codes: 0 success, 1 runtime or acceptance failure, 2 usage error.
+Exit codes: 0 success; 1 runtime error (a refusal by the library, an I/O
+failure, a failed check); 2 usage error (an argparse error, a value a schema
+converter rejects from a flag or a config-file line alike, an unknown config
+key, a config line without '=').
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import hashlib
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -34,8 +38,12 @@ _STUDIES = {
 }
 
 
-def _read_config_file(path: str) -> dict:
-    """key = value lines; '#' starts a comment; values stay strings."""
+class _UsageError(KinexError):
+    """A bad command line or config file: a converter's refusal, an unknown key, a line without '='."""
+
+
+def _read_config_file(path: str, schema: dict) -> dict:
+    """key = value lines with keys from schema; '#' starts a comment; values stay strings."""
     out = {}
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
@@ -43,31 +51,32 @@ def _read_config_file(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise KinexError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+                raise _UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in schema:
+                raise _UsageError(f"unknown config key {key!r}")
+            out[key] = value.strip()
     return out
 
 
 def _merge_config(args: argparse.Namespace, schema: dict) -> dict:
     """Defaults, then config-file values, then explicitly given flags.
 
-    schema maps key -> (default, converter); every file value and every
-    given flag passes its converter, which also validates it. Parser
+    schema maps key -> (default, converter, help); every file value and
+    every given flag is a string that passes its converter, which also
+    validates it, so a bad value reads the same from either source. Parser
     options use None as the not-given sentinel so flag presence is
     detectable regardless of how main() was invoked.
     """
-    merged = {key: default for key, (default, _) in schema.items()}
-    fileconf = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in fileconf:
-        if key not in schema:
-            raise KinexError(f"unknown config key {key!r}")
+    merged = {key: default for key, (default, _, _) in schema.items()}
+    fileconf = _read_config_file(args.config, schema) if args.config else {}
     flags = [(key, getattr(args, key)) for key in schema if getattr(args, key) is not None]
     for key, raw in [*fileconf.items(), *flags]:
         try:
             merged[key] = schema[key][1](raw)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise KinexError(f"bad value {key}={raw!r}: {exc}") from exc
+        except ValueError as exc:
+            raise _UsageError(f"bad value {key}={raw!r}: {exc}") from exc
     return merged
 
 
@@ -76,16 +85,16 @@ def _out_dir(args) -> str:
     return args.out or os.environ.get("KINEX_OUT") or "kinex-out"
 
 
-def _parse_values(text: str, convert, what: str, count: int | None = None) -> tuple:
-    """Comma-separated values; a bad token or count is a KinexError naming it."""
+def _parse_values(text: str, convert, what: str, count: int | None = None, error=ValueError) -> tuple:
+    """Comma-separated values; a bad token or count raises error, naming it."""
     values = []
     for tok in text.split(","):
         try:
             values.append(convert(tok))
         except ValueError:
-            raise KinexError(f"bad {what} {tok!r} in {text!r}") from None
+            raise error(f"bad {what} {tok!r} in {text!r}") from None
     if count is not None and len(values) != count:
-        raise KinexError(f"expected {count} {what} value(s), got {text!r}")
+        raise error(f"expected {count} {what} value(s), got {text!r}")
     return tuple(values)
 
 
@@ -96,54 +105,54 @@ def _positive_float(raw) -> float:
     return value
 
 
-def _seed(raw) -> int:
-    value = int(raw)
-    if value < 0:
-        raise ValueError("need an integer >= 0")
-    return value
+def _int_at_least(low: int):
+    def convert(raw) -> int:
+        value = int(raw)
+        if value < low:
+            raise ValueError(f"need an integer >= {low}")
+        return value
+    return convert
 
 
-def _population_sizes(raw) -> tuple:
-    return _parse_values(raw, int, "population size")
+def _one_of(*names):
+    """A converter that accepts only names; its metavar is the one argparse gives choices."""
+    def convert(raw):
+        if raw not in names:
+            raise ValueError(f"need one of {', '.join(names)}")
+        return raw
+    convert.metavar = "{" + ",".join(names) + "}"
+    return convert
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"need an integer >= 2, got {text}")
-    return value
-
-
-# ---------------------------------------------------------------------------
-# simulate
-# ---------------------------------------------------------------------------
-
+# Each schema declares the config keys of one subcommand, and build_parser
+# makes one --key-name flag per key.
 
 SIMULATE_SCHEMA = {
-    "n": (1000, _positive_int),
-    "t": (10.0, float),
-    "init": ("constant:10", str),
-    "seed": (0, _seed),
-    "snapshots": (None, str),
-    "clock_scale": ("pairwise", str),  # pt.SimConfig rejects all but pairwise | global
+    "n": (1000, _int_at_least(2), "number of agents (>= 2)"),
+    "t": (10.0, _positive_float, "time horizon"),
+    "init": ("constant:10", str, "constant:<v> | exponential:<m> | file:<path>"),
+    "seed": (0, _int_at_least(0), "RNG seed"),
+    "snapshots": (None, partial(_parse_values, convert=float, what="snapshot time"),
+                  "comma-separated snapshot times (default: t)"),
+    "clock_scale": ("pairwise", _one_of("pairwise", "global"), "pair rate 1/N (total (N-1)/2) or total rate N"),
 }
 
 PDE_SCHEMA = {
-    "m1": (1.0, _positive_float),
-    "dx": (0.01, _positive_float),
-    "dt": (0.05, _positive_float),
-    "t": (10.0, _positive_float),
-    "x_max": (None, _positive_float),
-    "init": ("equilibrium", str),
-    "snapshot_every": (0.25, _positive_float),
+    "m1": (1.0, _positive_float, "mean of the target equilibrium"),
+    "dx": (0.01, _positive_float, "cell width"),
+    "dt": (0.05, _positive_float, "Euler step (must be <= 1)"),
+    "t": (10.0, _positive_float, "time horizon"),
+    "x_max": (None, _positive_float, "domain cutoff (default 20*m1)"),
+    "init": ("equilibrium", str, "equilibrium | uniform:<a>,<b> | random:<seed> | file:<path>"),
+    "snapshot_every": (0.25, _positive_float, "diagnostics cadence"),
 }
 
 STUDY_SCHEMA = {
-    "study": (None, str),
-    "seed": (0, _seed),
-    "n_list": (None, _population_sizes),
-    "replicas": (None, int),
-    "t": (None, _positive_float),
+    "seed": (0, _int_at_least(0), "base seed"),
+    "n_list": (None, partial(_parse_values, convert=int, what="population size"),
+               "population sizes for the chaos study"),
+    "replicas": (None, int, "replicas per population size"),
+    "t": (None, _positive_float, "evaluation time for the chaos study"),
 }
 # STUDY_SCHEMA keys that only the chaos study reads -> chaos_scaling arguments
 _CHAOS_ARGS = {"n_list": "n_list", "replicas": "replicas", "t": "t_eval"}
@@ -155,12 +164,15 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
+# ---------------------------------------------------------------------------
+# simulate
+# ---------------------------------------------------------------------------
+
+
 def cmd_simulate(args) -> int:
     conf = _merge_config(args, SIMULATE_SCHEMA)
     out = _out_dir(args)
-    snaps = (conf["t"],)
-    if conf["snapshots"]:
-        snaps = _parse_values(conf["snapshots"], float, "snapshot time")
+    snaps = conf["snapshots"] or (conf["t"],)
     config = pt.SimConfig(
         n_agents=conf["n"],
         t_final=conf["t"],
@@ -200,11 +212,11 @@ def _initial_density(spec: str, grid: Grid1D, m1: float) -> GridDensity1D:
     kind, _, arg = spec.partition(":")
     if kind == "equilibrium":
         return Equilibrium(m1).on_grid(grid).normalized()
-    if kind == "uniform":
-        a, b = _parse_values(arg, float, "uniform bound", 2)
+    if kind == "uniform":  # the spec is read as the run starts: a bad token is a runtime error
+        a, b = _parse_values(arg, float, "uniform bound", 2, KinexError)
         return uniform_density(grid, a, b)
     if kind == "random":
-        (seed,) = _parse_values(arg, _seed, "random seed", 1)
+        (seed,) = _parse_values(arg, _int_at_least(0), "random seed", 1, KinexError)
         return ex.random_positive_density(grid, m1, seed)
     raise KinexError(f"unknown initial density {spec!r}")
 
@@ -244,7 +256,7 @@ def cmd_pde(args) -> int:
 
 def cmd_study(args) -> int:
     conf = _merge_config(args, STUDY_SCHEMA)
-    name = conf["study"]
+    name = args.study
     given = [key for key in _CHAOS_ARGS if conf[key] is not None]
     if name != "chaos" and given:
         raise KinexError(f"study {name} takes no {', '.join(given)}; only the chaos study reads them")
@@ -268,48 +280,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kinetic-exchange laboratory: reshuffling dynamics, mean-field PDE, diagnostics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     sim = sub.add_parser("simulate", help="run the N-agent reshuffling dynamics")
-    sim.add_argument("--n", type=_positive_int, default=None, help="number of agents (>= 2)")
-    sim.add_argument("--t", type=float, default=None, help="time horizon")
-    sim.add_argument("--init", default=None, help="constant:<v> | exponential:<m> | file:<path>")
-    sim.add_argument("--seed", type=int, default=None, help="RNG seed")
-    sim.add_argument("--snapshots", default=None, help="comma-separated snapshot times (default: t)")
-    sim.add_argument("--clock-scale", dest="clock_scale", choices=["pairwise", "global"],
-                     default=None, help="pair rate 1/N (total (N-1)/2) or total rate N")
-    sim.add_argument("--write-snapshots", action="store_true", help="also write per-agent snapshot CSV")
-    sim.add_argument("--config", default=None, help="key=value config file (flags win)")
-    sim.add_argument("--out", default=None, help="output directory (default $KINEX_OUT or ./kinex-out)")
-    sim.set_defaults(func=cmd_simulate)
-
     pde = sub.add_parser("pde", help="solve the mean-field equation with forward Euler")
-    pde.add_argument("--m1", type=float, default=None, help="mean of the target equilibrium")
-    pde.add_argument("--dx", type=float, default=None, help="cell width")
-    pde.add_argument("--dt", type=float, default=None, help="Euler step (must be <= 1)")
-    pde.add_argument("--t", type=float, default=None, help="time horizon")
-    pde.add_argument("--x-max", dest="x_max", type=float, default=None, help="domain cutoff (default 20*m1)")
-    pde.add_argument("--init", default=None,
-                     help="equilibrium | uniform:<a>,<b> | random:<seed> | file:<path>")
-    pde.add_argument("--snapshot-every", dest="snapshot_every", type=float, default=None,
-                     help="diagnostics cadence")
-    pde.add_argument("--config", default=None, help="key=value config file (flags win)")
-    pde.add_argument("--out", default=None, help="output directory (default $KINEX_OUT or ./kinex-out)")
-    pde.set_defaults(func=cmd_pde)
-
     study = sub.add_parser("study", help="run a scripted end-to-end study")
     study.add_argument("--study", choices=_STUDIES, required=True, help="which study to run")
-    study.add_argument("--seed", type=int, default=None, help="base seed")
-    study.add_argument("--n-list", dest="n_list", default=None,
-                       help="population sizes for the chaos study")
-    study.add_argument("--replicas", type=int, default=None, help="replicas per population size")
-    study.add_argument("--t", type=float, default=None, help="evaluation time for the chaos study")
+    for cmd, schema, func in ((sim, SIMULATE_SCHEMA, cmd_simulate), (pde, PDE_SCHEMA, cmd_pde),
+                              (study, STUDY_SCHEMA, cmd_study)):
+        # no type=: a flag stays a string, and _merge_config converts it as it does a file value
+        for key, (_, convert, text) in schema.items():
+            cmd.add_argument("--" + key.replace("_", "-"), metavar=getattr(convert, "metavar", None), help=text)
+        cmd.set_defaults(func=func)
+    sim.add_argument("--write-snapshots", action="store_true", help="also write per-agent snapshot CSV")
     # replicas run in order on one thread; the flag is still accepted, and
     # ignored, so command lines written for it (perfbench/selftest.py) parse
-    study.add_argument("--threads", type=int, default=None, help=argparse.SUPPRESS)
-    study.add_argument("--config", default=None, help="key=value config file (flags win)")
-    study.add_argument("--out", default=None, help="output directory (default $KINEX_OUT or ./kinex-out)")
-    study.set_defaults(func=cmd_study)
-
+    study.add_argument("--threads", type=int, help=argparse.SUPPRESS)
+    for cmd in (sim, pde, study):
+        cmd.add_argument("--config", help="key=value config file (flags win)")
+        cmd.add_argument("--out", help="output directory (default $KINEX_OUT or ./kinex-out)")
     return parser
 
 
@@ -320,7 +307,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except KinexError as exc:
         print(f"kinex: error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _UsageError) else 1
     except OSError as exc:
         print(f"kinex: i/o error: {exc}", file=sys.stderr)
         return 1

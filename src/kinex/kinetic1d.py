@@ -30,6 +30,8 @@ from .errors import ConfigError, DataError, DomainError, StabilityError
 
 # Input values down to -_NEGATIVITY_CLIP are rounding noise and read as 0.
 _NEGATIVITY_CLIP = 1e-14
+# A larger grid is refused before numpy would try to allocate it.
+_MAX_CELLS = 2**22
 
 
 class Grid1D:
@@ -38,6 +40,8 @@ class Grid1D:
     def __init__(self, x_max: float, n_cells: int):
         if not (x_max > 0) or n_cells < 16:
             raise ConfigError(f"need x_max > 0 and n_cells >= 16, got {x_max}, {n_cells}")
+        if n_cells > _MAX_CELLS:
+            raise ConfigError(f"a grid of {n_cells:.7g} cells exceeds the limit of {_MAX_CELLS} cells")
         self.x_max = float(x_max)
         self.n_cells = int(n_cells)
         self.dx = self.x_max / self.n_cells
@@ -45,9 +49,11 @@ class Grid1D:
 
     @classmethod
     def from_spacing(cls, x_max: float, dx: float) -> "Grid1D":
-        n = int(round(x_max / dx))
-        if abs(n * dx - x_max) > 1e-9 * x_max:
-            raise ConfigError(f"x_max={x_max} is not a multiple of dx={dx}")
+        n = x_max / dx
+        if n < math.inf:  # round() overflows at inf, a count __init__ refuses anyway
+            n = round(n)
+            if abs(n * dx - x_max) > 1e-9 * x_max:
+                raise ConfigError(f"x_max={x_max} is not a multiple of dx={dx}")
         return cls(x_max, n)
 
     def __eq__(self, other):

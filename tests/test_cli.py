@@ -58,10 +58,10 @@ class TestHelpGolden:
 
 
 class TestExitCodes:
-    def test_usage_error_is_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--n", "1"])
-        assert exc.value.code == 2
+    def test_usage_error_is_two(self, tmp_path, capsys):
+        code, _ = run(["simulate", "--n", "1"], tmp_path)
+        assert code == 2
+        assert "n='1'" in one_line_error(capsys)
 
     def test_unknown_study_is_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -107,7 +107,7 @@ class TestSimulate:
         conf = tmp_path / "run.conf"
         conf.write_text("volume = 11\n")
         code = main(["simulate", "--config", str(conf), "--out", str(tmp_path / "o")])
-        assert code == 1
+        assert code == 2
 
     def test_file_input_is_hashed(self, tmp_path):
         path = tmp_path / "balances.txt"
@@ -129,39 +129,43 @@ class TestSimulate:
 
 class TestBadInput:
     @pytest.mark.parametrize(
-        "argv, named",
+        "argv, code, named",
         [
-            (["simulate", "--n", "10", "--t", "inf"], "t_final"),
-            (["simulate", "--n", "10", "--t", "2", "--snapshots", "1,x"], "'x'"),
-            (["simulate", "--n", "10", "--t", "2", "--snapshots", "nan"], "snapshot"),
-            (["simulate", "--n", "10", "--t", "2", "--init", "constant:abc"], "'abc'"),
-            (["simulate", "--n", "10", "--t", "2", "--init", "exponential:-1"], "'-1'"),
-            (["study", "--study", "chaos", "--n-list", "100,abc", "--replicas", "10"], "'abc'"),
-            (["pde", "--t", "1", "--init", "uniform:abc"], "'abc'"),
-            (["pde", "--t", "1", "--snapshot-every", "0"], "snapshot_every=0"),
-            (["pde", "--t", "1", "--snapshot-every", "-1"], "snapshot_every=-1"),
-            (["pde", "--t", "1", "--dt", "nan"], "dt=nan"),
-            (["pde", "--t", "nan"], "t=nan"),
-            (["pde", "--t", "1", "--dx", "0"], "dx=0"),
-            (["pde", "--t", "1e-9"], "1e-09"),
-            (["pde", "--dt", "0.05", "--t", "0.03"], "t_final = 0.03"),
-            (["simulate", "--n", "10", "--t", "1", "--seed", "-1"], "seed=-1"),
-            (["study", "--study", "chaos", "--n-list", "100,200", "--replicas", "10", "--seed", "-1"], "seed=-1"),
-            (["pde", "--t", "1", "--init", "random:-1"], "'-1'"),
-            (["pde", "--x-max", "3", "--t", "30"], "tail_mass=0.00464"),
-            (["pde", "--dx", "0.05", "--t", "1", "--init", "uniform:0,0.125"], "[0.0, 0.125] are not cell edges of dx=0.05"),
-            (["study", "--study", "figure1", "--t", "5"], "figure1 takes no t"),
-            (["study", "--study", "chaos", "--n-list", "100", "--replicas", "10", "--t", "0.5"], "two population sizes"),
+            (["simulate", "--n", "10", "--t", "inf"], 2, "t='inf'"),
+            (["simulate", "--n", "10", "--t", "2", "--snapshots", "1,x"], 2, "'x'"),
+            (["simulate", "--n", "10", "--t", "2", "--snapshots", "nan"], 1, "snapshot"),
+            (["simulate", "--n", "10", "--t", "2", "--init", "constant:abc"], 1, "'abc'"),
+            (["simulate", "--n", "10", "--t", "2", "--init", "exponential:-1"], 1, "'-1'"),
+            (["study", "--study", "chaos", "--n-list", "100,abc", "--replicas", "10"], 2, "'abc'"),
+            (["pde", "--t", "1", "--init", "uniform:abc"], 1, "'abc'"),
+            (["pde", "--t", "1", "--snapshot-every", "0"], 2, "snapshot_every='0'"),
+            (["pde", "--t", "1", "--snapshot-every", "-1"], 2, "snapshot_every='-1'"),
+            (["pde", "--t", "1", "--dt", "nan"], 2, "dt='nan'"),
+            (["pde", "--t", "nan"], 2, "t='nan'"),
+            (["pde", "--t", "1", "--dx", "0"], 2, "dx='0'"),
+            (["pde", "--t", "1e-9"], 1, "1e-09"),
+            (["pde", "--dt", "0.05", "--t", "0.03"], 1, "t_final = 0.03"),
+            (["simulate", "--n", "10", "--t", "1", "--seed", "-1"], 2, "seed='-1'"),
+            (["study", "--study", "chaos", "--n-list", "100,200", "--replicas", "10", "--seed", "-1"], 2, "seed='-1'"),
+            (["pde", "--t", "1", "--init", "random:-1"], 1, "'-1'"),
+            (["pde", "--x-max", "3", "--t", "30"], 1, "tail_mass=0.00464"),
+            (["pde", "--dx", "0.05", "--t", "1", "--init", "uniform:0,0.125"], 1,
+             "[0.0, 0.125] are not cell edges of dx=0.05"),
+            (["study", "--study", "figure1", "--t", "5"], 1, "figure1 takes no t"),
+            (["study", "--study", "chaos", "--n-list", "100", "--replicas", "10", "--t", "0.5"], 1,
+             "two population sizes"),
+            (["pde", "--m1", "1e300", "--t", "1"], 1, "2e+303 cells exceeds the limit of 4194304"),
         ],
         ids=[
             "t-inf", "snapshot-token", "snapshot-nan", "constant-token", "exponential-negative",
             "n-list-token", "uniform-token", "snapshot-every-zero", "snapshot-every-negative",
             "dt-nan", "t-nan", "dx-zero", "t-below-half-step", "t-below-step",
             "simulate-seed-negative", "study-seed-negative", "pde-random-seed-negative",
-            "truncation-leak", "start-mass", "study-chaos-only-flag", "chaos-one-size",
+            "truncation-leak", "start-mass", "study-chaos-only-flag", "chaos-one-size", "grid-too-large",
         ],
     )
-    def test_one_line_error_without_delay(self, argv, named, tmp_path, capsys):
+    def test_one_line_error_without_delay(self, argv, code, named, tmp_path, capsys):
+        """A converter's refusal is a usage error (2); a library or runtime refusal is 1."""
         def hung(signum, frame):
             raise TimeoutError("kinex did not return within 5 s")
 
@@ -169,13 +173,13 @@ class TestBadInput:
         signal.alarm(5)
         try:
             start = time.perf_counter()
-            code, out = run(argv, tmp_path)
+            got, out = run(argv, tmp_path)
             elapsed = time.perf_counter() - start
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         err = capsys.readouterr().err
-        assert code == 1
+        assert got == code
         assert elapsed < 1.0
         assert not out.exists()  # a refused run leaves no output directory
         assert "Traceback" not in err
@@ -186,15 +190,63 @@ class TestBadInput:
         conf = tmp_path / "run.conf"
         conf.write_text("seed = -1\n")
         code, _ = run(["simulate", "--n", "10", "--t", "1", "--config", str(conf)], tmp_path)
-        assert code == 1
+        assert code == 2
         assert "seed='-1'" in one_line_error(capsys)
 
     def test_bad_clock_scale_in_config_file(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
         conf.write_text("clock_scale = bogus\n")
         code, _ = run(["simulate", "--n", "10", "--t", "1", "--config", str(conf)], tmp_path)
-        assert code == 1
+        assert code == 2
         assert "'bogus'" in one_line_error(capsys)
+
+    def test_study_key_in_config_file(self, tmp_path, capsys):
+        """--study is required and names the study, so a study = line is not a config key."""
+        conf = tmp_path / "run.conf"
+        conf.write_text("study = bogus\n")
+        code, out = run(["study", "--study", "entropy", "--config", str(conf)], tmp_path)
+        assert code == 2
+        assert "unknown config key 'study'" in one_line_error(capsys)
+        assert not out.exists()
+
+    def test_config_line_without_equals(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("n 10\n")
+        code, out = run(["simulate", "--config", str(conf)], tmp_path)
+        assert code == 2
+        assert "expected key=value" in one_line_error(capsys)
+        assert not out.exists()
+
+    # every key a converter checks, once per subcommand: (command, key, bad value, other flags)
+    TWINS = [
+        ("simulate", "n", "1", []),
+        ("simulate", "t", "-2", []),
+        ("simulate", "seed", "abc", []),
+        ("simulate", "snapshots", "1,x", []),
+        ("simulate", "clock_scale", "bogus", []),
+        ("pde", "m1", "0", []),
+        ("pde", "dx", "nan", []),
+        ("pde", "dt", "-1", []),
+        ("pde", "t", "inf", []),
+        ("pde", "x_max", "0", []),
+        ("pde", "snapshot_every", "x", []),
+        ("study", "seed", "-1", ["--study", "chaos"]),
+        ("study", "n_list", "100,abc", ["--study", "chaos"]),
+        ("study", "replicas", "ten", ["--study", "chaos"]),
+        ("study", "t", "0", ["--study", "chaos"]),
+    ]
+
+    @pytest.mark.parametrize("command, key, bad, rest", TWINS, ids=[f"{c}-{k}" for c, k, _, _ in TWINS])
+    def test_flag_and_config_line_refused_alike(self, command, key, bad, rest, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key} = {bad}\n")
+        results = []
+        for name, given in (("flag", [f"--{key.replace('_', '-')}", bad]), ("file", ["--config", str(conf)])):
+            code, out = run([command, *rest, *given], tmp_path, name)
+            results.append((code, one_line_error(capsys), out.exists()))
+        assert results[0] == results[1], results  # same code, same line, same (absent) directory
+        code, line, wrote = results[0]
+        assert code == 2 and f"{key}={bad!r}" in line and not wrote
 
     def test_chaos_only_keys_in_config_file(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"

@@ -51,6 +51,14 @@ class TestGrid:
         with pytest.raises(ConfigError):
             Grid1D(1.0, 8)
 
+    def test_too_many_cells(self):
+        """Refused with a named error before numpy tries to allocate the nodes."""
+        Grid1D(20.0, 2**22)
+        with pytest.raises(ConfigError, match="4194305 cells exceeds the limit of 4194304"):
+            Grid1D(20.0, 2**22 + 1)
+        with pytest.raises(ConfigError, match="inf cells"):
+            Grid1D.from_spacing(1e308, 1e-300)  # round() would overflow
+
     def test_density_validation(self):
         g = Grid1D(2.0, 16)
         with pytest.raises(DataError):
