@@ -27,7 +27,9 @@ from . import experiments as ex
 from . import particle as pt
 from .diagnostics import TrajectoryObserver, write_records_csv
 from .errors import KinexError
-from .kinetic1d import Equilibrium, Grid1D, GridDensity1D, load_density, save_density, solve, uniform_density
+from .kinetic1d import (
+    Equilibrium, Grid1D, GridDensity1D, _check_dt, load_density, save_density, solve, uniform_density,
+)
 
 # --study name -> its function in experiments
 _STUDIES = {
@@ -237,9 +239,13 @@ def cmd_pde(args) -> int:
     mass = q0.cdf_points()[1][-1]  # the cumulative mass the observer's W1/W2 check reads
     if abs(mass - 1.0) > 1e-6:
         raise KinexError(f"start density {source} has mass {mass:.7g}, not 1 +- 1e-6")
+    every, dt = conf["snapshot_every"], conf["dt"]
+    _check_dt(dt)  # an unstable dt is named as such, before the cadence is compared with it
+    if every < dt:
+        raise KinexError(f"snapshot_every={every!r} is below dt={dt!r}; solve records at most once per Euler step")
     observer = TrajectoryObserver()
-    snap_times = np.arange(0.0, conf["t"] + 1e-9, conf["snapshot_every"])
-    traj = solve(q0, conf["t"], conf["dt"], snapshot_times=snap_times, observers=(observer,))
+    snap_times = np.arange(0.0, conf["t"] + 1e-9, every)
+    traj = solve(q0, conf["t"], dt, snapshot_times=snap_times, observers=(observer,))
     os.makedirs(out, exist_ok=True)
     write_records_csv(observer.records, os.path.join(out, "diagnostics.csv"))
     save_density(traj.final, os.path.join(out, "final_density.csv"))

@@ -11,7 +11,9 @@ convention, so all evaluations agree to rounding error.
 
 Wasserstein distances use the one-dimensional coupling: W1 as the exact
 area between CDFs on the merged breakpoint set, W2 through inverse-CDF
-evaluation on a fine u-grid with a half-resolution consistency check.
+evaluation on a fine u-grid with a half-resolution consistency check. A
+grid density's CDF comes from a two-entry cache keyed by the density object
+(_density_measure), so a trajectory's equilibrium is built and inverted once.
 """
 
 from __future__ import annotations
@@ -189,13 +191,18 @@ def laplace_check(q: GridDensity1D, lam0: float, C: float = 1.0) -> float:
 
 
 class _Measure:
-    """Common CDF/quantile view of a grid density or an empirical sample."""
+    """Common CDF/quantile view of a grid density or an empirical sample.
+
+    The mass is not checked here; _measure checks it on every use, and the
+    observer reads it first to raise its own DataError.
+    """
 
     def __init__(self, obj):
         if isinstance(obj, GridDensity1D):
             self.xs, cum = obj.cdf_points()
             self.mass = cum[-1]
             self.F = cum / self.mass
+            self.F.setflags(write=False)
             self.step = False
         else:
             samples = np.sort(np.asarray(obj, dtype=float))
@@ -204,8 +211,9 @@ class _Measure:
             self.xs = samples
             self.mass = 1.0
             self.step = True
-        if abs(self.mass - 1.0) > 1e-6:
-            raise DomainError(f"measure mass must be 1 +- 1e-6, got {self.mass}")
+        self.xs.setflags(write=False)  # a cached measure is shared by every caller
+        # u-grid size n -> quantile((arange(n) + 0.5) / n), kept for the reference side of W2
+        self.midpoint_quantiles: dict[int, np.ndarray] = {}
 
     def cdf_right(self, x: np.ndarray) -> np.ndarray:
         """Right-continuous CDF values F(x+)."""
@@ -226,10 +234,50 @@ class _Measure:
         return float(np.sum(np.diff(self.F) * mids**2))
 
 
+# (density, its _Measure) of the last densities measured, most recent first.
+# Two slots hold the observer's (q, equilibrium) and the chaos study's (q0n, q_t).
+_MEASURE_SLOTS = 2
+_recent_measures: tuple = ()
+
+
+def _density_measure(q: GridDensity1D) -> _Measure:
+    """The _Measure of q, mass unchecked, from the identity-keyed cache.
+
+    A hit needs the same object (``is``), never equal values. Each entry
+    holds a strong reference to its density, so an id cannot be reused
+    while it is a key, and densities are immutable, so a key's CDF cannot
+    change. The entry used least recently makes room for a new one. The
+    cache is read once and replaced whole, so callers on two threads can at
+    worst rebuild a measure, never get another density's.
+    """
+    global _recent_measures
+    entries = _recent_measures
+    hit = [m for key, m in entries if key is q]
+    measure = hit[0] if hit else _Measure(q)
+    rest = tuple(entry for entry in entries if entry[0] is not q)
+    _recent_measures = ((q, measure), *rest[: _MEASURE_SLOTS - 1])
+    return measure
+
+
+def _measure(obj) -> _Measure:
+    """The _Measure of a grid density (cached) or of a sample, checked for mass 1."""
+    measure = _density_measure(obj) if isinstance(obj, GridDensity1D) else _Measure(obj)
+    if abs(measure.mass - 1.0) > 1e-6:
+        raise DomainError(f"measure mass must be 1 +- 1e-6, got {measure.mass}")
+    return measure
+
+
 def wasserstein1(p, r) -> float:
-    """Exact 1-D W1: area between the two CDFs on merged breakpoints."""
-    mp, mr = _Measure(p), _Measure(r)
-    breaks = np.union1d(mp.xs, mr.xs)
+    """Exact 1-D W1: area between the two CDFs on merged breakpoints.
+
+    Two densities on one grid share their edges, which strictly increase,
+    so those edges are the merged set as they stand.
+    """
+    mp, mr = _measure(p), _measure(r)
+    if mp.step or mr.step or not np.array_equal(mp.xs, mr.xs):
+        breaks = np.union1d(mp.xs, mr.xs)
+    else:
+        breaks = mp.xs
     a, b = breaks[:-1], breaks[1:]
     # on each open interval both CDFs are linear (constant for samples)
     dl = mp.cdf_right(a) - mr.cdf_right(a)
@@ -249,14 +297,22 @@ def wasserstein1(p, r) -> float:
 
 
 def wasserstein2(p, r) -> float:
-    """1-D W2 via inverse CDFs on a u-grid, with a half-resolution check."""
-    mp, mr = _Measure(p), _Measure(r)
+    """1-D W2 via inverse CDFs on a u-grid, with a half-resolution check.
+
+    r is the reference side: its measure keeps its quantiles on both
+    u-grids, so a reference reused from the measure cache (the observer's
+    equilibrium, contraction's) is inverted once.
+    """
+    mp, mr = _measure(p), _measure(r)
     if not (np.isfinite(mp.second_moment()) and np.isfinite(mr.second_moment())):
         raise DomainError("wasserstein2 needs finite second moments")
 
     def estimate(n: int) -> float:
         u = (np.arange(n) + 0.5) / n
-        d = mp.quantile(u) - mr.quantile(u)
+        ref = mr.midpoint_quantiles.get(n)
+        if ref is None:
+            ref = mr.midpoint_quantiles[n] = mr.quantile(u)
+        d = mp.quantile(u) - ref
         return float(np.sqrt(np.mean(d**2)))
 
     fine = estimate(_W2_POINTS)
@@ -335,7 +391,8 @@ class TrajectoryObserver:
             d_val = dissipation(q)
         w1 = w2 = math.nan
         if self.wasserstein:
-            mass = q.cdf_points()[1][-1]  # the mass (cumulative, not np.sum) W1/W2 check
+            # the cumulative mass (not np.sum) W1/W2 check, from the CDF they reuse
+            mass = _density_measure(q).mass
             if abs(mass - 1.0) > 1e-6:
                 raise DataError(
                     f"density mass {mass:.7g} at t={t:g} is not 1 +- 1e-6 as W1/W2 need: "

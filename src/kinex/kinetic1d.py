@@ -11,7 +11,9 @@ centers so it never touches m = 0.
 The self-convolution is one real FFT at every grid size; cells outside the
 sumset of q's support, where the exact convolution is 0, are set to 0. No
 step calls BLAS, whose summation order depends on the CPU, so a run writes
-the same bytes on every CPU for a given numpy version.
+the same bytes on every CPU for a given numpy version. self_convolution keeps
+its last result (read-only, keyed by the density object), so a diagnostics
+record's D[q] and the next Euler step from q share one FFT.
 
 Mass escaping beyond x_max is dropped, not renormalized, so conservation
 stays an honest diagnostic (see Trajectory.tail_loss).
@@ -150,6 +152,9 @@ def _fft_square(v: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(v, nfft) ** 2, nfft)[:n]
 
 
+_last_convolution: tuple = (None, None)  # (q, q*q) of the last self_convolution call
+
+
 def self_convolution(q: GridDensity1D) -> np.ndarray:
     """Discrete c = q*q on the doubled midpoint grid, c[k] at (k+1)*dx.
 
@@ -157,7 +162,18 @@ def self_convolution(q: GridDensity1D) -> np.ndarray:
     round-off. c is exactly 0 outside the sumset of the nonzero cells of q:
     [2a, 2b] when those form one interval [a, b], else the cells where the
     FFT of the 0/1 indicator rounds to a pair count of 0.
+
+    The result is read-only and cached for one density, so a record's
+    dissipation(q) and the next step_euler(q) share one FFT. The key is the
+    density object (``is``, never equal values). The cache holds a strong
+    reference to it, so its id cannot be reused while it is the key, and
+    densities are immutable, so its values cannot change. With one entry,
+    no snapshot but the last one convolved is kept alive.
     """
+    global _last_convolution
+    cached_q, cached_c = _last_convolution
+    if cached_q is q:
+        return cached_c
     v = q.values
     c = _fft_square(v)
     nonzero = np.flatnonzero(v)
@@ -168,7 +184,10 @@ def self_convolution(q: GridDensity1D) -> np.ndarray:
         c[np.rint(_fft_square(v > 0)) == 0] = 0.0
     # convolution of nonnegative sequences; FFT round-off may dip below 0
     np.maximum(c, 0.0, out=c)
-    return c * q.grid.dx
+    c *= q.grid.dx
+    c.setflags(write=False)
+    _last_convolution = (q, c)
+    return c
 
 
 def gain(q: GridDensity1D) -> GridDensity1D:

@@ -68,9 +68,11 @@ class TestExitCodes:
             main(["study", "--study", "bogus"])
         assert exc.value.code == 2
 
-    def test_runtime_error_is_one(self, tmp_path):
+    def test_runtime_error_is_one(self, tmp_path, capsys):
         code, _ = run(["pde", "--dt", "1.5", "--t", "2"], tmp_path)
         assert code == 1
+        # named as unstable, although the default cadence 0.25 is below dt too
+        assert "dt = 1.5 exceeds the unit loss rate" in one_line_error(capsys)
 
     def test_success_is_zero(self, tmp_path):
         code, out = run(["simulate", "--n", "100", "--t", "2", "--seed", "3"], tmp_path)
@@ -155,6 +157,8 @@ class TestBadInput:
             (["study", "--study", "chaos", "--n-list", "100", "--replicas", "10", "--t", "0.5"], 1,
              "two population sizes"),
             (["pde", "--m1", "1e300", "--t", "1"], 1, "2e+303 cells exceeds the limit of 4194304"),
+            (["pde", "--dx", "0.05", "--t", "1", "--snapshot-every", "1e-300"], 1,
+             "snapshot_every=1e-300 is below dt=0.05"),
         ],
         ids=[
             "t-inf", "snapshot-token", "snapshot-nan", "constant-token", "exponential-negative",
@@ -162,6 +166,7 @@ class TestBadInput:
             "dt-nan", "t-nan", "dx-zero", "t-below-half-step", "t-below-step",
             "simulate-seed-negative", "study-seed-negative", "pde-random-seed-negative",
             "truncation-leak", "start-mass", "study-chaos-only-flag", "chaos-one-size", "grid-too-large",
+            "snapshot-every-below-dt",
         ],
     )
     def test_one_line_error_without_delay(self, argv, code, named, tmp_path, capsys):

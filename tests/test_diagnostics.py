@@ -305,6 +305,31 @@ class TestWasserstein:
         bad = GridDensity1D(grid_fine, np.full(grid_fine.n_cells, 0.01))
         with pytest.raises(DomainError):
             dg.wasserstein1(bad, bad)
+        with pytest.raises(DomainError):  # bad's measure is cached now and checked again
+            dg.wasserstein2(bad, bad)
+
+    def test_reused_equilibrium_matches_fresh_bit_for_bit(self, uniform02, monkeypatch):
+        """W1 and W2 against one reused equilibrium equal those against a new one, exactly."""
+        grid = uniform02.grid
+        snapshots = solve(uniform02, 1.5, 0.05, snapshot_times=(0.5, 1.0, 1.5)).snapshots
+        fresh = []
+        for q in snapshots:
+            eq_new = Equilibrium(1.0).on_grid(grid).normalized()
+            fresh.append((dg.wasserstein1(q, eq_new), dg.wasserstein2(q, eq_new)))
+        built = []
+        measure = dg._Measure
+        monkeypatch.setattr(dg, "_Measure", lambda obj: built.append(obj) or measure(obj))
+        eq = Equilibrium(1.0).on_grid(grid).normalized()
+        for q, expected in zip(snapshots, fresh):
+            assert (dg.wasserstein1(q, eq), dg.wasserstein2(q, eq)) == expected
+        assert sum(obj is eq for obj in built) == 1  # its CDF and quantiles were built once
+
+    def test_measure_cache_is_keyed_by_identity(self, exp1):
+        q = exp1.normalized()
+        measure = dg._density_measure(q)
+        assert dg._density_measure(q) is measure
+        assert dg._density_measure(GridDensity1D(q.grid, q.values)) is not measure
+        assert len(dg._recent_measures) == dg._MEASURE_SLOTS
 
 
 class TestEntropyDissipationIdentity:
@@ -386,3 +411,15 @@ def test_observer_scales_laplace_with_mean():
     assert max(sups) <= 1.0 + 5e-3
     assert observer.lam0 == pytest.approx(0.12)
     assert observer.laplace_C == pytest.approx(5.0, rel=1e-6)
+
+
+def test_observer_reads_one_cdf_per_record(uniform02, monkeypatch):
+    """The mass check, W1 and W2 of a record share one CDF of q; the equilibrium's is built once."""
+    calls = []
+    cdf_points = GridDensity1D.cdf_points
+    monkeypatch.setattr(GridDensity1D, "cdf_points", lambda q: calls.append(q) or cdf_points(q))
+    monkeypatch.setattr(dg, "_recent_measures", (), raising=False)
+    observer = dg.TrajectoryObserver()
+    solve(uniform02, 1.0, 0.05, snapshot_times=np.arange(0.0, 1.01, 0.25), observers=(observer,))
+    assert len(observer.records) == 5
+    assert len(calls) == 5 + 1

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from kinex.diagnostics import _direct_self_convolution
+from kinex import kinetic1d
+from kinex.diagnostics import TrajectoryObserver, _direct_self_convolution
 from kinex.errors import ConfigError, DataError, DomainError, StabilityError
 from kinex.kinetic1d import (
     Equilibrium,
@@ -176,6 +177,54 @@ class TestGain:
             q = Equilibrium(1.0).on_grid(grid)
             residuals.append(np.max(np.abs(gain(q).values - q.values)))
         assert residuals[0] / residuals[1] >= 1.8
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Counts kinetic1d._fft_square calls; starts with an empty convolution cache."""
+    calls = []
+    square = kinetic1d._fft_square
+    monkeypatch.setattr(kinetic1d, "_fft_square", lambda v: calls.append(v.size) or square(v))
+    monkeypatch.setattr(kinetic1d, "_last_convolution", (None, None), raising=False)
+    return calls
+
+
+class TestConvolutionCache:
+    def test_record_and_next_step_share_one_fft(self, fft_calls):
+        """Each record's dissipation(q) and the next step_euler(q) convolve q once.
+
+        Above the direct-sum limit D convolves by FFT too; an interval
+        support keeps it one FFT (no indicator) per convolution. N steps and
+        N + 1 records: the records at steps 0 .. N - 1 reuse the step's
+        convolution, and only the last record's is new.
+        """
+        grid = Grid1D(16.0, 8192)
+        n_steps, dt = 6, 0.1
+        observer = TrajectoryObserver()
+        solve(uniform_density(grid, 0.0, 2.0), n_steps * dt, dt,
+              snapshot_times=np.arange(n_steps + 1) * dt, observers=(observer,))
+        assert len(observer.records) == n_steps + 1
+        assert len(fft_calls) == n_steps + 1
+
+    def test_result_is_read_only(self, grid_fine, exp1):
+        c = self_convolution(exp1)
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0] = 1.0
+        assert self_convolution(exp1) is c
+
+    def test_keyed_by_identity_not_values(self, grid_fine, fft_calls):
+        q = compact_random_density(grid_fine, seed=3)
+        c = self_convolution(q)
+        twin = GridDensity1D(grid_fine, q.values)  # equal values, another object
+        c_twin = self_convolution(twin)
+        assert c_twin is not c and np.array_equal(c_twin, c)
+        other = compact_random_density(grid_fine, seed=4)
+        c_other = self_convolution(other)
+        kinetic1d._last_convolution = (None, None)
+        assert np.array_equal(c_other, self_convolution(other))
+        assert not np.array_equal(c_other, c)
+        assert len(fft_calls) == 4  # one per call: no call was served another density's result
 
 
 class TestRhs:
