@@ -2,12 +2,14 @@
 
 The dissipation functional D[q] has one evaluation: the two-term split
 through the diagonal average g of q (x) q, with every 2-D sum reduced to
-sums along diagonals after one convolution. The 1/(x+y) collision factor
-is realized as 1/(count of in-range cells * dx) per anti-diagonal; the
-count equals (x+y)/dx on every diagonal that is not clipped by the
-truncation at x_max. The literal O(M^3) triple sum and the
-O(M^2) splits that cross-check it live in tests/oracles/ and share this
-convention, so all evaluations agree to rounding error.
+sums along diagonals after one FFT (kinetic1d.self_convolution on every
+grid, shared with the next Euler step); +inf is decided from the hull
+[2a, 2b] of the support sumset. The 1/(x+y) collision factor is realized
+as 1/(count of in-range cells * dx) per anti-diagonal; the count equals
+(x+y)/dx on every diagonal not clipped by the truncation at x_max. The
+literal O(M^3) triple sum and the O(M^2) splits that cross-check it live
+in tests/oracles/ on an exact direct sum of their own, so all evaluations
+agree to rounding error.
 
 Wasserstein distances use the one-dimensional coupling: W1 as the exact
 area between CDFs on the merged breakpoint set, W2 through inverse-CDF
@@ -28,9 +30,6 @@ from .errors import ConfigError, DataError, DomainError, KinexError
 from .kinetic1d import Equilibrium, GridDensity1D, self_convolution
 from .kinetic1d import gain  # noqa: F401  unused here; perfbench/selftest.py checks the tracer rebinds it
 
-# Direct sums up to this size, the FFT beyond; the two agree to 1e-12. Only
-# the direct sum keeps the exact zeros the log-ratio diagnostics need.
-_DIRECT_CONV_LIMIT = 4096
 _LAPLACE_POINTS = 64  # lambda grid of the damped Laplace transform
 _W2_POINTS = 1 << 16  # u-grid of the W2 quantile coupling
 
@@ -64,47 +63,26 @@ def relative_entropy(p: GridDensity1D, r: GridDensity1D) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _direct_self_convolution(v: np.ndarray) -> np.ndarray:
-    """c_k = sum_i v_i v_{k-i} without BLAS, in one fixed summation order.
-
-    The symmetric half sum c_k = 2 * sum_{i < k-i} v_i v_{k-i} + v_{k/2}^2,
-    added shift by shift over the nonzero cells i in ascending order; a
-    diagonal with no pair of nonzero cells stays exactly 0.
-    """
-    m = v.size
-    c = np.zeros(2 * m - 1)
-    products = np.empty(m)
-    for i in np.flatnonzero(v).tolist():
-        row = np.multiply(v[i + 1 :], v[i], out=products[: m - i - 1])  # v_i v_j for j > i
-        diagonals = c[2 * i + 1 : i + m]
-        np.add(diagonals, row, out=diagonals)
-    c *= 2.0
-    c[::2] += v * v
-    return c
-
-
-def _diagonal_average(q: GridDensity1D) -> tuple[np.ndarray, np.ndarray]:
-    """Average g_k of q (x) q over diagonal k and the in-range cell counts."""
-    n = q.grid.n_cells
-    counts = np.minimum(np.arange(2 * n - 1) + 1, 2 * n - 1 - np.arange(2 * n - 1))
-    if n <= _DIRECT_CONV_LIMIT:
-        c = _direct_self_convolution(q.values) * q.grid.dx
-    else:
-        c = self_convolution(q)  # = column sums * dx
-    g = c / (counts * q.grid.dx)
-    return g, counts
-
-
-def _check_positive_where_needed(v: np.ndarray, g: np.ndarray) -> bool:
+def _check_positive_where_needed(v: np.ndarray) -> bool:
     """True if q (x) q gives positive mass to a diagonal touching a q = 0 cell.
 
-    Cell z touches diagonals z .. z + M - 1: a prefix count of g > 0 does it in O(M).
+    Zero cell z touches diagonals [z, z + M - 1]; diagonal k has mass
+    exactly when k is in the sumset S of the nonzero cells, the first and
+    last of which are a and b. That window meets S exactly when it meets
+    the hull [2a, 2b]:
+
+    - S lies in [2a, 2b] and contains {a + j} and {j + b} over the nonzero
+      cells j, so its consecutive elements lie at most b - a <= M - 1 apart;
+    - so M consecutive diagonals that meet [2a, 2b] hold 2a or 2b, or lie
+      inside it, where no gap of S can hold all M of them.
+
+    The decision reads only where v is zero: exact, no round-off, no FFT.
     """
-    zero = np.flatnonzero(v == 0)
-    if zero.size == 0:
+    nonzero = np.flatnonzero(v)
+    if nonzero.size in (0, v.size):
         return False
-    positive = np.concatenate(([0], np.cumsum(g > 0)))
-    return bool((positive[zero + v.size] > positive[zero]).any())
+    zero = np.flatnonzero(v == 0)
+    return bool(((zero <= 2 * nonzero[-1]) & (zero + v.size - 1 >= 2 * nonzero[0])).any())
 
 
 def dissipation(q: GridDensity1D) -> float:
@@ -119,31 +97,28 @@ def dissipation(q: GridDensity1D) -> float:
     integrand is a sum of (a - b) log(a/b) terms); rounding-level negatives
     are clamped to zero.
     """
-    return _checked_dissipation(q, _diagonal_sums)
-
-
-def _checked_dissipation(q: GridDensity1D, evaluate) -> float:
-    """Run evaluate(q, g, counts) behind the +inf and nonnegativity checks."""
-    g, counts = _diagonal_average(q)
-    if _check_positive_where_needed(q.values, g):
-        warnings.warn("q vanishes where the gain is positive; D[q] = +inf", stacklevel=3)
+    if _check_positive_where_needed(q.values):
+        warnings.warn("q vanishes where the gain is positive; D[q] = +inf", stacklevel=2)
         return math.inf
-    value = evaluate(q, g, counts)
+    value = _diagonal_sums(q)
     if value < -1e-9:
         raise KinexError(f"dissipation came out negative ({value}); integrand violated")
     return max(value, 0.0)
 
 
-def _diagonal_sums(q: GridDensity1D, g: np.ndarray, counts: np.ndarray) -> float:
+def _diagonal_sums(q: GridDensity1D) -> float:
     """D[q] as sums along diagonals; h_z is exactly 0 wherever q_z = 0.
 
-    _checked_dissipation has returned +inf if a zero cell z has g > 0 on a
-    diagonal in [z, z + M). Else every g there is exactly 0, as g >= 0 (the
-    direct sum adds nonnegative products, the FFT path clamps at 0), so the
-    sequential cumsum gives suffix[z] == suffix[z + M] and h_z = 0 exactly.
+    dissipation has returned +inf if a zero cell z touches the hull
+    [2a, 2b] of the support sumset with a diagonal in [z, z + M). Else
+    every g there is exactly 0, as self_convolution writes exact zeros
+    outside [2a, 2b] (both of its support masks do), so the sequential
+    cumsum gives suffix[z] == suffix[z + M] and h_z = 0 exactly.
     """
     n = q.grid.n_cells
     dx = q.grid.dx
+    counts = np.minimum(np.arange(2 * n - 1) + 1, 2 * n - 1 - np.arange(2 * n - 1))
+    g = self_convolution(q) / (counts * dx)  # average of q (x) q over each diagonal
     v = q.values
     dx2 = dx * dx
     sq_logq = float(_xlogy(v, v).sum() * dx)

@@ -241,6 +241,8 @@ def chaos_scaling(
         raise ConfigError(f"n_list needs at least two population sizes to fit a slope, got {n_list}")
     if replicas < 10:
         raise ConfigError("need at least 10 replicas per population size")
+    for n in n_list:  # refused here, before the PDE solve, not by a simulate call after it
+        pt._check_n_agents(n)
     q0 = Equilibrium(1.0).on_grid(Grid1D.from_spacing(_CHAOS_X_MAX, CHAOS["dx"])).normalized()
     report = StudyReport("chaos", {"seed": seed, "n_list": list(n_list), "replicas": replicas, "t_eval": t_eval,
                                    **CHAOS, "q0_mean": q0.mean})

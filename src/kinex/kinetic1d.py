@@ -8,12 +8,12 @@ operations: the convolution of two midpoint-sampled densities lands exactly
 on midpoints of the doubled domain, and the 1/m factor is evaluated at cell
 centers so it never touches m = 0.
 
-The self-convolution is one real FFT at every grid size; cells outside the
-sumset of q's support, where the exact convolution is 0, are set to 0. No
-step calls BLAS, whose summation order depends on the CPU, so a run writes
-the same bytes on every CPU for a given numpy version. self_convolution keeps
-its last result (read-only, keyed by the density object), so a diagnostics
-record's D[q] and the next Euler step from q share one FFT.
+The self-convolution is one real FFT on every grid, for the gain and D[q]
+alike; cells outside the sumset of q's support, where the exact
+convolution is 0, are set to 0. No step calls BLAS, whose summation order
+depends on the CPU, so a run writes the same bytes on every CPU for a given
+numpy version. self_convolution keeps its last result (read-only, keyed by
+the density object), so a record's D[q] and the next Euler step share it.
 
 Mass escaping beyond x_max is dropped, not renormalized, so conservation
 stays an honest diagnostic (see Trajectory.tail_loss).
@@ -161,7 +161,8 @@ def self_convolution(q: GridDensity1D) -> np.ndarray:
     Returns 2*n_cells - 1 values; sum(c)*dx equals mass(q)^2 up to FFT
     round-off. c is exactly 0 outside the sumset of the nonzero cells of q:
     [2a, 2b] when those form one interval [a, b], else the cells where the
-    FFT of the 0/1 indicator rounds to a pair count of 0.
+    FFT of the 0/1 indicator rounds to a pair count of 0. Both masks zero all
+    of c outside [2a, 2b], with a and b the first and last nonzero cells.
 
     The result is read-only and cached for one density, so a record's
     dissipation(q) and the next step_euler(q) share one FFT. The key is the

@@ -32,6 +32,8 @@ from .kinetic1d import Grid1D, GridDensity1D
 _BATCH = 1 << 15
 _SELF_CHECK_RTOL = 1e-9
 _IN_PLACE_AGENTS = 30_000  # see _run
+# A larger population is refused before numpy would try to allocate it.
+_MAX_AGENTS = 10**6
 
 
 class WealthVector:
@@ -70,8 +72,7 @@ class SimConfig:
     clock_scale: str = "pairwise"  # or "global"
 
     def __post_init__(self):
-        if self.n_agents < 2:
-            raise ConfigError(f"need at least 2 agents, got {self.n_agents}")
+        _check_n_agents(self.n_agents)
         if not 0 < self.t_final < np.inf:
             raise ConfigError(f"t_final must be positive and finite, got {self.t_final}")
         if self.clock_scale not in ("pairwise", "global"):
@@ -85,6 +86,14 @@ class SimConfig:
         if self.clock_scale == "global":
             return float(self.n_agents)
         return (self.n_agents - 1) / 2.0
+
+
+def _check_n_agents(n: int) -> None:
+    """Refuse a population of fewer than 2 or more than _MAX_AGENTS agents."""
+    if n < 2:
+        raise ConfigError(f"need at least 2 agents, got {n}")
+    if n > _MAX_AGENTS:
+        raise ConfigError(f"a population of {n} agents exceeds the limit of {_MAX_AGENTS} agents")
 
 
 def spawn_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:

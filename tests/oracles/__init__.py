@@ -2,7 +2,9 @@
 
 No CLI command runs anything in this package. This module holds slow
 reference evaluations that cross-check the library's single paths: the
-entropy dissipation D[q] by literal sums over the pair grid, the spectral
+exact self-convolution q*q by a direct sum, the entropy dissipation D[q]
+by literal sums over the pair grid on that exact q*q (with +inf read from
+its exact zeros, where the library reads the support's hull), the spectral
 gap ratio and the weighted-L2 norm by Gauss-Laguerre quadrature, and the
 one-event reshuffle the particle kernel is checked against. Beside it:
 
@@ -14,25 +16,73 @@ one-event reshuffle the particle kernel is checked against. Beside it:
 Only small grids and spectra are fed to them.
 """
 
+import math
+import warnings
+
 import numpy as np
 
 from kinex import diagnostics as dg
-from kinex.errors import ConfigError, DomainError
+from kinex.errors import ConfigError, DomainError, KinexError
 from kinex.kinetic1d import Grid1D, GridDensity1D
 from kinex.particle import WealthVector
 
 from . import spectral as sp
 
 
+def direct_self_convolution(v):
+    """c_k = sum_i v_i v_{k-i} without BLAS, in one fixed summation order.
+
+    The symmetric half sum c_k = 2 * sum_{i < k-i} v_i v_{k-i} + v_{k/2}^2,
+    added shift by shift over the nonzero cells i in ascending order; a
+    diagonal with no pair of nonzero cells stays exactly 0, and every other
+    one is a sum of positive products, so it is positive.
+    """
+    m = v.size
+    c = np.zeros(2 * m - 1)
+    products = np.empty(m)
+    for i in np.flatnonzero(v).tolist():
+        row = np.multiply(v[i + 1 :], v[i], out=products[: m - i - 1])  # v_i v_j for j > i
+        diagonals = c[2 * i + 1 : i + m]
+        np.add(diagonals, row, out=diagonals)
+    c *= 2.0
+    c[::2] += v * v
+    return c
+
+
+def diagonal_average(q):
+    """Exact average g_k of q (x) q over diagonal k and the in-range cell counts."""
+    n = q.grid.n_cells
+    counts = np.minimum(np.arange(2 * n - 1) + 1, 2 * n - 1 - np.arange(2 * n - 1))
+    c = direct_self_convolution(q.values) * q.grid.dx
+    return c / (counts * q.grid.dx), counts
+
+
+def touches_positive_diagonal(v, g):
+    """The index rule for D = +inf: some zero cell z has g > 0 on a diagonal in [z, z + M).
+
+    The literal (zero cells) x M index matrix, as small grids afford it.
+    """
+    zero = np.flatnonzero(v == 0)
+    return bool((g[zero[:, None] + np.arange(v.size)[None, :]] > 0).any())
+
+
 def dissipation(q, method):
-    """D[q] by the literal sums, behind the library's +inf and sign checks.
+    """D[q] by the literal sums on the exact g, with +inf and sign checks of its own.
 
     "brute" is the triple sum over (diagonal, cell, cell), O(M^3);
     "decomposed" is the two-term split through the diagonal average g of
     q (x) q with literal 2-D sums, O(M^2); "decomposed3" splits its second
-    term once more through the product h (x) h.
+    term once more through the product h (x) h. D = +inf by the index rule
+    on g's exact zeros.
     """
-    return dg._checked_dissipation(q, _SUMS[method])
+    g, counts = diagonal_average(q)
+    if touches_positive_diagonal(q.values, g):
+        warnings.warn("q vanishes where the gain is positive; D[q] = +inf", stacklevel=2)
+        return math.inf
+    value = _SUMS[method](q, g, counts)
+    if value < -1e-9:
+        raise KinexError(f"dissipation came out negative ({value}); integrand violated")
+    return max(value, 0.0)
 
 
 def _brute(q, g, counts):

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kinex.diagnostics import _diagonal_average, _xlogy
+from kinex.diagnostics import _xlogy
 from kinex.errors import ConfigError, DomainError, KinexError
 from kinex.kinetic1d import GridDensity1D, gain
+
+from . import diagonal_average
 
 _PAIR_GRID_LIMIT = 2048  # M cap of the O(M^2) sums in phi_weighted_entropy_bound
 
@@ -59,7 +61,7 @@ def phi_weighted_entropy_bound(q: GridDensity1D, phi: np.ndarray) -> tuple[float
     if abs(float((phi * v).sum() * dx) - 1.0) > 1e-8:
         raise DomainError("phi must satisfy integral(phi * q) = 1 to 1e-8")
 
-    g, _ = _diagonal_average(q)
+    g, _ = diagonal_average(q)  # exact, so g > 0 wherever f = q (x) q > 0 below
     i = np.arange(n)
     g2d = g[i[:, None] + i[None, :]]
     H = g2d @ phi * dx

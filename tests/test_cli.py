@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import kinex
+from kinex import experiments as ex
+from kinex import particle as pt
 from kinex.cli import build_parser, main
 from kinex.kinetic1d import Equilibrium, Grid1D, save_density, uniform_density
 
@@ -191,6 +193,25 @@ class TestBadInput:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("kinex: error:") and named in lines[0], err
 
+    @pytest.mark.parametrize("n", [pt._MAX_AGENTS + 1, 10**20], ids=["cap-plus-one", "21-digit"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--t", "1", "--n", "{n}"],
+         ["study", "--study", "chaos", "--replicas", "10", "--t", "1", "--n-list", "100,{n}"]],
+        ids=["simulate", "chaos"],
+    )
+    def test_agent_cap(self, argv, n, tmp_path, capsys, monkeypatch):
+        """Too many agents are refused before any balance is drawn or the chaos PDE is solved."""
+        def not_reached(*args, **kwargs):
+            pytest.fail("the run started before the agent count was checked")
+
+        monkeypatch.setattr(pt, "make_initial", not_reached)
+        monkeypatch.setattr(ex, "solve", not_reached)
+        code, out = run([arg.format(n=n) for arg in argv], tmp_path)
+        assert code == 1
+        assert not out.exists()
+        assert f"a population of {n} agents exceeds the limit of {pt._MAX_AGENTS} agents" in one_line_error(capsys)
+
     def test_negative_seed_in_config_file(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
         conf.write_text("seed = -1\n")
@@ -359,7 +380,7 @@ class TestGoldenArtifacts:
         "pde": (
             ["pde", "--dx", "0.05", "--t", "1", "--init", "random:42"],
             {
-                "diagnostics.csv": "53fb9878b414b7e85054ea3073bcda2d0924c1e1ac9e9ce5f3ff21c5b5883de2",
+                "diagnostics.csv": "200ad5e013b2853c437f1cdd3da4cacbd4db4a4177478367a337b3c460e22641",
                 "final_density.csv": "e1cc12b4d89141a47d2c1c44015d7fc1fbf924fcfafdbad05c28f239debcf1a9",
                 "final_density.csv.json": "543cb58578275c0833cea3ea3ed2b4b90ebeafa2554168613b9ebd618d8cf273",
                 "manifest.json": "3d730d58a52478c5b0c95568075bba71df491f8b7bda6a3d6934d862762f7b85",

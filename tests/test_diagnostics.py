@@ -5,11 +5,12 @@ import pytest
 from scipy import integrate
 
 from kinex import diagnostics as dg
+from kinex import experiments as ex
 from kinex.errors import ConfigError, DomainError
 from kinex.kinetic1d import Equilibrium, Grid1D, GridDensity1D, gain, solve, uniform_density
 
 from conftest import compact_random_density
-from oracles import dirac_density
+from oracles import diagonal_average, dirac_density, touches_positive_diagonal
 from oracles import dissipation as dissipation_oracle
 from oracles.entropy import derived_densities, entropy_sandwich, phi_weighted_entropy_bound
 
@@ -96,12 +97,8 @@ class TestDissipation:
             assert dg.dissipation(q) == math.inf
 
     def test_zero_cell_check_matches_index_matrix(self):
-        # the prefix-count check against the literal formula: does any
-        # diagonal z .. z + M - 1 of a zero cell z carry positive g?
-        def index_matrix(v, g):
-            zero = np.flatnonzero(v == 0)
-            return bool((g[zero[:, None] + np.arange(v.size)[None, :]] > 0).any())
-
+        # the hull rule against the literal formula on the exact q (x) q:
+        # does any diagonal z .. z + M - 1 of a zero cell z carry positive g?
         rng = np.random.default_rng(7)
         cases = []
         for _ in range(300):
@@ -120,11 +117,30 @@ class TestDissipation:
             if not v.any():
                 continue
             q = GridDensity1D(Grid1D(8.0, v.size), v)
-            g, _ = dg._diagonal_average(q)
-            expected = index_matrix(q.values, g)
-            assert dg._check_positive_where_needed(q.values, g) == expected
+            g, _ = diagonal_average(q)
+            expected = touches_positive_diagonal(q.values, g)
+            assert dg._check_positive_where_needed(q.values) == expected
             outcomes.add(expected)
         assert outcomes == {True, False}
+
+    @pytest.mark.filterwarnings("ignore:q vanishes")
+    @pytest.mark.parametrize(
+        "start, every",
+        [(lambda grid: ex.random_positive_density(grid, 1.0, 42), 0.25),  # the golden pde run
+         (lambda grid: uniform_density(grid, 0.0, 2.0), 0.05)],
+        ids=["golden-random-42", "uniform-0-2"],
+    )
+    def test_fft_path_matches_direct_sum_oracle(self, start, every):
+        """At every record, D from the one FFT and the hull rule matches the exact direct sum."""
+        grid = Grid1D.from_spacing(20.0, 0.05)  # M = 400
+        traj = solve(start(grid), 1.0, 0.05, snapshot_times=np.arange(0.0, 1.0 + 1e-9, every))
+        library = np.array([dg.dissipation(q) for q in traj.snapshots])
+        oracle = np.array([dissipation_oracle(q, "decomposed") for q in traj.snapshots])
+        infinite = np.isinf(oracle)
+        assert np.array_equal(np.isinf(library), infinite)
+        assert infinite[0] and not infinite[-1]
+        finite = ~infinite
+        assert np.all(np.abs(library[finite] - oracle[finite]) <= 1e-10 * oracle[finite])
 
 
 class TestPhiWeightedBound:
@@ -151,7 +167,7 @@ class TestPhiWeightedBound:
 
         grid = Grid1D.from_spacing(20.0, 0.02)
         q = solve(uniform_density(grid, 0.0, 2.0), 1.0, 0.01).final.normalized()
-        g, _ = dg._diagonal_average(q)
+        g, _ = diagonal_average(q)
         i = np.arange(grid.n_cells)
         H = g[i[:, None] + i[None, :]] @ (grid.nodes * grid.dx)
         dd = derived_densities(q)

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from kinex import kinetic1d
-from kinex.diagnostics import TrajectoryObserver, _direct_self_convolution
+from kinex.diagnostics import TrajectoryObserver
 from kinex.errors import ConfigError, DataError, DomainError, StabilityError
 from kinex.kinetic1d import (
     Equilibrium,
@@ -21,7 +21,7 @@ from kinex.kinetic1d import (
     uniform_density,
 )
 from conftest import compact_random_density
-from oracles import dirac_density
+from oracles import dirac_density, direct_self_convolution
 from oracles.moments import m2_closed_form
 
 
@@ -150,7 +150,7 @@ class TestGain:
         for n_cells in (64, 256, 512):
             grid = Grid1D(20.0, n_cells)
             q = Equilibrium(1.0).on_grid(grid)
-            direct = _direct_self_convolution(q.values) * grid.dx
+            direct = direct_self_convolution(q.values) * grid.dx
             assert np.max(np.abs(direct - self_convolution(q))) < 1e-12
             # the BLAS-free sum against BLAS, cell by cell: positive terms, relative error ~ M * eps
             reference = np.convolve(q.values, q.values) * grid.dx
@@ -166,7 +166,7 @@ class TestGain:
         q = GridDensity1D(grid, values)
         sumset = sorted({i + j for i in cells for j in cells})
         outside = np.setdiff1d(np.arange(2 * grid.n_cells - 1), sumset)
-        for c in (self_convolution(q), _direct_self_convolution(values)):
+        for c in (self_convolution(q), direct_self_convolution(values)):
             assert np.all(c[outside] == 0.0)
             assert np.all(c[sumset] > 0.0)
 
@@ -190,15 +190,18 @@ def fft_calls(monkeypatch):
 
 
 class TestConvolutionCache:
-    def test_record_and_next_step_share_one_fft(self, fft_calls):
+    @pytest.mark.parametrize("n_cells", [400, 8192])
+    def test_record_and_next_step_share_one_fft(self, n_cells, fft_calls):
         """Each record's dissipation(q) and the next step_euler(q) convolve q once.
 
-        Above the direct-sum limit D convolves by FFT too; an interval
-        support keeps it one FFT (no indicator) per convolution. N steps and
-        N + 1 records: the records at steps 0 .. N - 1 reuse the step's
-        convolution, and only the last record's is new.
+        D convolves by the step's FFT on every grid; an interval support
+        keeps it one FFT (no indicator) per convolution. N steps and N + 1
+        records convolve each of the N + 1 states once: a finite record
+        convolves q and the next step reuses it, a +inf record (the hull
+        rule needs no convolution) leaves it to the step, and the last
+        state, positive everywhere by then, is convolved by its record.
         """
-        grid = Grid1D(16.0, 8192)
+        grid = Grid1D(16.0, n_cells)
         n_steps, dt = 6, 0.1
         observer = TrajectoryObserver()
         solve(uniform_density(grid, 0.0, 2.0), n_steps * dt, dt,
