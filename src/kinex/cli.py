@@ -28,7 +28,7 @@ from . import particle as pt
 from .diagnostics import TrajectoryObserver, write_records_csv
 from .errors import KinexError
 from .kinetic1d import (
-    Equilibrium, Grid1D, GridDensity1D, _check_dt, load_density, save_density, solve, uniform_density,
+    Equilibrium, Grid1D, GridDensity1D, _step_count, load_density, save_density, solve, uniform_density,
 )
 
 # --study name -> its function in experiments
@@ -240,7 +240,9 @@ def cmd_pde(args) -> int:
     if abs(mass - 1.0) > 1e-6:
         raise KinexError(f"start density {source} has mass {mass:.7g}, not 1 +- 1e-6")
     every, dt = conf["snapshot_every"], conf["dt"]
-    _check_dt(dt)  # an unstable dt is named as such, before the cadence is compared with it
+    # an unstable dt is named as such, before the cadence is compared with it, and
+    # the work cap is checked before the snapshot times are built
+    n_steps = _step_count(conf["t"], dt, q0.grid.n_cells)
     if every < dt:
         raise KinexError(f"snapshot_every={every!r} is below dt={dt!r}; solve records at most once per Euler step")
     observer = TrajectoryObserver()
@@ -250,7 +252,7 @@ def cmd_pde(args) -> int:
     write_records_csv(observer.records, os.path.join(out, "diagnostics.csv"))
     save_density(traj.final, os.path.join(out, "final_density.csv"))
     manifest = {"command": "pde", **conf, "x_max": x_max, **provenance}
-    ex.write_manifest(out, manifest, manifest, {"n_steps": int(round(conf["t"] / conf["dt"]))})
+    ex.write_manifest(out, manifest, manifest, {"n_steps": n_steps})
     print(f"pde: {len(observer.records)} snapshots, outputs in {out}")
     return 0
 

@@ -13,13 +13,15 @@ agree to rounding error.
 
 Wasserstein distances use the one-dimensional coupling: W1 as the exact
 area between CDFs on the merged breakpoint set, W2 through inverse-CDF
-evaluation on a fine u-grid with a half-resolution consistency check. A
-grid density's CDF comes from a two-entry cache keyed by the density object
-(_density_measure), so a trajectory's equilibrium is built and inverted once.
+evaluation on a fine u-grid with a half-resolution consistency check. The
+second argument is the reference side: a grid density there keeps its CDF
+and W2 quantiles in its memo, so a trajectory's equilibrium is built and
+inverted once. The first argument's CDF is built per call.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -168,8 +170,7 @@ def laplace_check(q: GridDensity1D, lam0: float, C: float = 1.0) -> float:
 class _Measure:
     """Common CDF/quantile view of a grid density or an empirical sample.
 
-    The mass is not checked here; _measure checks it on every use, and the
-    observer reads it first to raise its own DataError.
+    The mass is not checked here; _measure checks it on every use.
     """
 
     def __init__(self, obj):
@@ -186,7 +187,7 @@ class _Measure:
             self.xs = samples
             self.mass = 1.0
             self.step = True
-        self.xs.setflags(write=False)  # a cached measure is shared by every caller
+        self.xs.setflags(write=False)  # a kept measure is shared by every caller
         # u-grid size n -> quantile((arange(n) + 0.5) / n), kept for the reference side of W2
         self.midpoint_quantiles: dict[int, np.ndarray] = {}
 
@@ -209,34 +210,14 @@ class _Measure:
         return float(np.sum(np.diff(self.F) * mids**2))
 
 
-# (density, its _Measure) of the last densities measured, most recent first.
-# Two slots hold the observer's (q, equilibrium) and the chaos study's (q0n, q_t).
-_MEASURE_SLOTS = 2
-_recent_measures: tuple = ()
-
-
-def _density_measure(q: GridDensity1D) -> _Measure:
-    """The _Measure of q, mass unchecked, from the identity-keyed cache.
-
-    A hit needs the same object (``is``), never equal values. Each entry
-    holds a strong reference to its density, so an id cannot be reused
-    while it is a key, and densities are immutable, so a key's CDF cannot
-    change. The entry used least recently makes room for a new one. The
-    cache is read once and replaced whole, so callers on two threads can at
-    worst rebuild a measure, never get another density's.
-    """
-    global _recent_measures
-    entries = _recent_measures
-    hit = [m for key, m in entries if key is q]
-    measure = hit[0] if hit else _Measure(q)
-    rest = tuple(entry for entry in entries if entry[0] is not q)
-    _recent_measures = ((q, measure), *rest[: _MEASURE_SLOTS - 1])
-    return measure
-
-
-def _measure(obj) -> _Measure:
-    """The _Measure of a grid density (cached) or of a sample, checked for mass 1."""
-    measure = _density_measure(obj) if isinstance(obj, GridDensity1D) else _Measure(obj)
+def _measure(obj, keep: bool = False) -> _Measure:
+    """The _Measure of obj, checked for mass 1; with keep, a grid density's is kept in its memo."""
+    if keep and isinstance(obj, GridDensity1D):
+        measure = obj._memo.get("measure")
+        if measure is None:
+            measure = obj._memo["measure"] = _Measure(obj)
+    else:
+        measure = _Measure(obj)
     if abs(measure.mass - 1.0) > 1e-6:
         raise DomainError(f"measure mass must be 1 +- 1e-6, got {measure.mass}")
     return measure
@@ -248,7 +229,7 @@ def wasserstein1(p, r) -> float:
     Two densities on one grid share their edges, which strictly increase,
     so those edges are the merged set as they stand.
     """
-    mp, mr = _measure(p), _measure(r)
+    mp, mr = _measure(p), _measure(r, keep=True)
     if mp.step or mr.step or not np.array_equal(mp.xs, mr.xs):
         breaks = np.union1d(mp.xs, mr.xs)
     else:
@@ -274,11 +255,11 @@ def wasserstein1(p, r) -> float:
 def wasserstein2(p, r) -> float:
     """1-D W2 via inverse CDFs on a u-grid, with a half-resolution check.
 
-    r is the reference side: its measure keeps its quantiles on both
-    u-grids, so a reference reused from the measure cache (the observer's
-    equilibrium, contraction's) is inverted once.
+    r is the reference side: a grid density there keeps its measure and its
+    u-grid quantiles in its memo, so a reference passed to every call (the
+    observer's equilibrium, contraction's) is inverted once.
     """
-    mp, mr = _measure(p), _measure(r)
+    mp, mr = _measure(p), _measure(r, keep=True)
     if not (np.isfinite(mp.second_moment()) and np.isfinite(mr.second_moment())):
         raise DomainError("wasserstein2 needs finite second moments")
 
@@ -326,8 +307,6 @@ class DiagnosticsRecord:
 
 
 def write_records_csv(records, path: str) -> None:
-    import csv
-
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(RECORD_COLUMNS)
@@ -366,8 +345,7 @@ class TrajectoryObserver:
             d_val = dissipation(q)
         w1 = w2 = math.nan
         if self.wasserstein:
-            # the cumulative mass (not np.sum) W1/W2 check, from the CDF they reuse
-            mass = _density_measure(q).mass
+            mass = q.cdf_points()[1][-1]  # the cumulative mass (not np.sum) W1/W2 check
             if abs(mass - 1.0) > 1e-6:
                 raise DataError(
                     f"density mass {mass:.7g} at t={t:g} is not 1 +- 1e-6 as W1/W2 need: "

@@ -156,6 +156,30 @@ CONTRACTION = {
 }
 
 
+def _pde_envelope(report: StudyReport) -> tuple[list, list, np.ndarray]:
+    """The PDE route's times, W2(q_t, q_inf) and envelope, and its check.
+
+    Its own function, so the equilibrium and the W2 quantiles in its memo
+    are freed before the coupled particle runs.
+    """
+    t_final, dt = CONTRACTION["t_final"], CONTRACTION["dt"]
+    grid = Grid1D.from_spacing(20.0, CONTRACTION["dx"])
+    q0 = uniform_density(grid, 0.0, 2.0)
+    equilibrium = Equilibrium(1.0).on_grid(grid).normalized()
+    times, w2s = [], []
+
+    def record(t: float, q: GridDensity1D) -> None:
+        times.append(t)
+        w2s.append(wasserstein2(q.normalized(), equilibrium))
+
+    solve(q0, t_final, dt, snapshot_times=np.arange(0.0, t_final + 1e-9, 0.5), observers=(record,))
+    w0 = wasserstein2(q0, equilibrium)
+    envelope = w0 * np.exp(-np.asarray(times) / 6.0)
+    worst = float(np.max(np.array(w2s) / envelope))
+    report.add_check("pde_w2_envelope", worst <= 1.05, worst_ratio=worst, w2_initial=w0)
+    return times, w2s, envelope
+
+
 def contraction_study(seed: int = 0) -> StudyReport:
     """Two routes to the exp(-t/6) contraction toward equilibrium.
 
@@ -166,26 +190,18 @@ def contraction_study(seed: int = 0) -> StudyReport:
     respect the envelope when the means are matched.
     """
     report = StudyReport("contraction", {"seed": seed, **CONTRACTION})
-    t_final, dt, coupled_n, coupled_m1, coupled_t = (
-        CONTRACTION[k] for k in ("t_final", "dt", "coupled_n", "coupled_m1", "coupled_t")
-    )
-    grid = Grid1D.from_spacing(20.0, CONTRACTION["dx"])
-    q0 = uniform_density(grid, 0.0, 2.0)
-    equilibrium = Equilibrium(1.0).on_grid(grid).normalized()
-    snap_times = np.arange(0.0, t_final + 1e-9, 0.5)
-    traj = solve(q0, t_final, dt, snapshot_times=snap_times)
-    w0 = wasserstein2(q0, equilibrium)
-    envelope = w0 * np.exp(-np.asarray(traj.times) / 6.0)
-    w2s = np.array([wasserstein2(s.normalized(), equilibrium) for s in traj.snapshots])
-    worst = float(np.max(w2s / envelope))
-    report.add_check("pde_w2_envelope", worst <= 1.05, worst_ratio=worst, w2_initial=w0)
+    coupled_n, coupled_m1, coupled_t = (CONTRACTION[k] for k in ("coupled_n", "coupled_m1", "coupled_t"))
+    times, w2s, envelope = _pde_envelope(report)
+    snap = tuple(np.arange(0.0, coupled_t + 1e-9, 0.25))
+
+    def coupled(start: float, run_seed: int) -> pt.CoupledSeries:
+        """Primary at a constant start, mirror iid Exp(coupled_m1), through shared events."""
+        pairs = pt.CoupledPairs.build(pt.make_initial(f"constant:{start}", coupled_n), coupled_m1, seed=run_seed)
+        config = pt.SimConfig(n_agents=coupled_n, t_final=coupled_t, seed=run_seed, snapshot_times=snap)
+        return pt.simulate_coupled(config, pairs)
 
     # coupled pairs: constant start one dollar above the mirror mean
-    snap = tuple(np.arange(0.0, coupled_t + 1e-9, 0.25))
-    config = pt.SimConfig(n_agents=coupled_n, t_final=coupled_t, seed=seed, snapshot_times=snap)
-    primary = pt.make_initial(f"constant:{coupled_m1 + 1}", coupled_n)
-    pairs = pt.CoupledPairs.build(primary, coupled_m1, seed=seed)
-    series = pt.simulate_coupled(config, pairs)
+    series = coupled(coupled_m1 + 1, seed)
     decaying = series.decaying_part()
     keep = decaying > 0
     rate, r2, se = exponential_rate(series.times[keep], decaying[keep])
@@ -193,21 +209,15 @@ def contraction_study(seed: int = 0) -> StudyReport:
     report.add_check("coupled_rate_band", 0.30 <= rate <= 0.36, value=rate, r2=r2)
 
     # envelope proxy needs matched means: restart from the mirror mean
-    primary2 = pt.make_initial(f"constant:{coupled_m1}", coupled_n)
-    pairs2 = pt.CoupledPairs.build(primary2, coupled_m1, seed=seed + 1)
-    config2 = pt.SimConfig(n_agents=coupled_n, t_final=coupled_t, seed=seed + 1, snapshot_times=snap)
-    series2 = pt.simulate_coupled(config2, pairs2)
+    series2 = coupled(coupled_m1, seed + 1)
     proxy = np.sqrt(series2.msd)
     proxy_env = proxy[0] * np.exp(-series2.times / 6.0)
     worst_proxy = float(np.max(proxy / proxy_env))
     report.add_check("coupled_w2_proxy_envelope", worst_proxy <= 1.05, worst_ratio=worst_proxy)
 
     report.series_columns = ["time", "w2_pde", "envelope", "coupled_msd", "coupled_msd_floor"]
-    msd_at = np.interp(traj.times, series.times, series.msd, right=math.nan)
-    report.series_rows = [
-        [t, w, e, m, series.msd_floor]
-        for t, w, e, m in zip(traj.times, w2s, envelope, msd_at)
-    ]
+    msd_at = np.interp(times, series.times, series.msd, right=math.nan)
+    report.series_rows = [[*row, series.msd_floor] for row in zip(times, w2s, envelope, msd_at)]
     return report
 
 
@@ -219,6 +229,8 @@ def contraction_study(seed: int = 0) -> StudyReport:
 CHAOS = {"dx": 0.01, "dt": 0.01}
 # the start's domain; not a manifest param, which keeps the chaos manifest's bytes
 _CHAOS_X_MAX = 20.0
+# 500x the default 20 replicas
+_MAX_REPLICAS = 10_000
 
 
 def chaos_scaling(
@@ -241,13 +253,15 @@ def chaos_scaling(
         raise ConfigError(f"n_list needs at least two population sizes to fit a slope, got {n_list}")
     if replicas < 10:
         raise ConfigError("need at least 10 replicas per population size")
-    for n in n_list:  # refused here, before the PDE solve, not by a simulate call after it
-        pt._check_n_agents(n)
+    if replicas > _MAX_REPLICAS:  # group.spawn(replicas) builds every child seed at once
+        raise ConfigError(f"{replicas} replicas per population size exceed the limit of {_MAX_REPLICAS}")
+    # sizes and events are refused here, before the PDE solve, not by a simulate call after it
+    rates = [pt.SimConfig(n_agents=n, t_final=t_eval).total_rate() for n in n_list]
+    pt._check_events(replicas * t_eval * sum(rates), f"{replicas} replicas of {len(n_list)} population sizes")
     q0 = Equilibrium(1.0).on_grid(Grid1D.from_spacing(_CHAOS_X_MAX, CHAOS["dx"])).normalized()
     report = StudyReport("chaos", {"seed": seed, "n_list": list(n_list), "replicas": replicas, "t_eval": t_eval,
                                    **CHAOS, "q0_mean": q0.mean})
-    traj = solve(q0, t_eval, CHAOS["dt"])
-    q_t = traj.final.normalized()
+    q_t = solve(q0, t_eval, CHAOS["dt"]).final.normalized()
     if abs(q_t.mean - q0.mean) > 1e-3:
         raise DataError(f"PDE mean drifted {q_t.mean - q0.mean:.2e}; check the grid")
     q0n = q0.normalized()
@@ -261,11 +275,8 @@ def chaos_scaling(
         return w_init, wasserstein1(out.final.balances, q_t)
 
     stats = {}
-    seed_groups = pt.spawn_seeds(seed, len(n_list))
-    for n, group in zip(n_list, seed_groups):
-        results = [replica(n, child) for child in group.spawn(replicas)]
-        w_init = [r[0] for r in results]
-        w_final = [r[1] for r in results]
+    for n, group in zip(n_list, pt.spawn_seeds(seed, len(n_list))):
+        w_init, w_final = zip(*(replica(n, child) for child in group.spawn(replicas)))
         stats[n] = {
             "w1_t0_mean": float(np.mean(w_init)),
             "w1_mean": float(np.mean(w_final)),
@@ -341,12 +352,22 @@ def entropy_decay_study(seed: int = 42) -> StudyReport:
     m1, dt, t_final = ENTROPY["m1"], ENTROPY["dt"], ENTROPY["t_final"]
     grid = Grid1D.from_spacing(20.0 * m1, ENTROPY["dx"])
     q0 = random_positive_density(grid, m1, seed)
-    step_times = np.arange(0.0, t_final + 1e-9, dt)
-    traj = solve(q0, t_final, dt, snapshot_times=step_times)
-    times = np.asarray(traj.times)
-
     equilibrium = Equilibrium(q0.mean).on_grid(grid)
-    entropy = np.array([relative_entropy(s, equilibrium) for s in traj.snapshots])
+    # dissipation on a coarser cadence feeds the entropy-dissipation table
+    observer = TrajectoryObserver(wasserstein=False)
+    stride = max(1, int(round(0.25 / dt)))
+    times, entropy = [], []
+
+    def record(t: float, q: GridDensity1D) -> None:
+        if len(times) % stride == 0:
+            observer(t, q)
+        times.append(t)
+        entropy.append(relative_entropy(q, equilibrium))
+
+    traj = solve(q0, t_final, dt, snapshot_times=np.arange(0.0, t_final + 1e-9, dt), observers=(record,))
+    times, entropy = np.array(times), np.array(entropy)
+    dissipations = np.full(times.size, math.nan)
+    dissipations[::stride] = [r.D for r in observer.records]
     strictly_decreasing = bool(np.all(np.diff(entropy) < 0))
     report.add_check("entropy_strictly_decreasing", strictly_decreasing, n_steps=len(entropy))
 
@@ -355,13 +376,6 @@ def entropy_decay_study(seed: int = 42) -> StudyReport:
     report.add_rate("entropy_semilog_rate", rate, ci=(rate - 2 * se, rate + 2 * se))
     report.add_check("semilog_fit_r2", r2 > 0.95, r2=r2, rate=rate)
 
-    # dissipation on a coarser cadence feeds the entropy-dissipation table
-    observer = TrajectoryObserver(wasserstein=False)
-    stride = max(1, int(round(0.25 / dt)))
-    dissipations = np.full(times.size, math.nan)
-    for k in range(0, times.size, stride):
-        observer(times[k], traj.snapshots[k])
-        dissipations[k] = observer.records[-1].D
     study = eep_study(observer.records)
     report.add_check(
         "eep_exponent_finite",

@@ -12,8 +12,8 @@ The self-convolution is one real FFT on every grid, for the gain and D[q]
 alike; cells outside the sumset of q's support, where the exact
 convolution is 0, are set to 0. No step calls BLAS, whose summation order
 depends on the CPU, so a run writes the same bytes on every CPU for a given
-numpy version. self_convolution keeps its last result (read-only, keyed by
-the density object), so a record's D[q] and the next Euler step share it.
+numpy version. Nothing is cached at module level: a density keeps its q*q
+in its own memo, so a record's D[q] and the next Euler step share one FFT.
 
 Mass escaping beyond x_max is dropped, not renormalized, so conservation
 stays an honest diagnostic (see Trajectory.tail_loss).
@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,8 @@ from .errors import ConfigError, DataError, DomainError, StabilityError
 _NEGATIVITY_CLIP = 1e-14
 # A larger grid is refused before numpy would try to allocate it.
 _MAX_CELLS = 2**22
+# More cell updates (cells x Euler steps) are refused before the first step; 50x the largest default run.
+_MAX_CELL_STEPS = 10**8
 
 
 class Grid1D:
@@ -73,7 +75,8 @@ class GridDensity1D:
     """Nonnegative density values on a Grid1D, with cached discrete moments.
 
     Instances are treated as immutable: every operation returns a new
-    density, so snapshots never alias solver state.
+    density, so snapshots never alias solver state and _memo (name -> a
+    value derived from this density, such as its q*q) never goes stale.
     """
 
     def __init__(self, grid: Grid1D, values: np.ndarray):
@@ -89,6 +92,7 @@ class GridDensity1D:
         self.values.setflags(write=False)
         self.mass = float(np.sum(self.values) * grid.dx)
         self.mean = float(np.sum(grid.nodes * self.values) * grid.dx)
+        self._memo: dict = {}
 
     def moment(self, k: int) -> float:
         """Discrete k-th moment, sum of x^k q(x) dx."""
@@ -152,9 +156,6 @@ def _fft_square(v: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(v, nfft) ** 2, nfft)[:n]
 
 
-_last_convolution: tuple = (None, None)  # (q, q*q) of the last self_convolution call
-
-
 def self_convolution(q: GridDensity1D) -> np.ndarray:
     """Discrete c = q*q on the doubled midpoint grid, c[k] at (k+1)*dx.
 
@@ -164,17 +165,14 @@ def self_convolution(q: GridDensity1D) -> np.ndarray:
     FFT of the 0/1 indicator rounds to a pair count of 0. Both masks zero all
     of c outside [2a, 2b], with a and b the first and last nonzero cells.
 
-    The result is read-only and cached for one density, so a record's
-    dissipation(q) and the next step_euler(q) share one FFT. The key is the
-    density object (``is``, never equal values). The cache holds a strong
-    reference to it, so its id cannot be reused while it is the key, and
-    densities are immutable, so its values cannot change. With one entry,
-    no snapshot but the last one convolved is kept alive.
+    The result is read-only and kept in q's memo, so a record's
+    dissipation(q) and the next step_euler(q) share one FFT; it lives as
+    long as q does. A density with equal values is another object with its
+    own memo.
     """
-    global _last_convolution
-    cached_q, cached_c = _last_convolution
-    if cached_q is q:
-        return cached_c
+    c = q._memo.get("self_convolution")
+    if c is not None:
+        return c
     v = q.values
     c = _fft_square(v)
     nonzero = np.flatnonzero(v)
@@ -187,7 +185,7 @@ def self_convolution(q: GridDensity1D) -> np.ndarray:
     np.maximum(c, 0.0, out=c)
     c *= q.grid.dx
     c.setflags(write=False)
-    _last_convolution = (q, c)
+    q._memo["self_convolution"] = c
     return c
 
 
@@ -218,6 +216,22 @@ def _check_dt(dt: float) -> None:
         raise ConfigError(f"dt must be positive, got {dt}")
 
 
+def _step_count(t_final: float, dt: float, n_cells: int) -> int:
+    """round(t_final / dt) Euler steps, refused if unstable, below one step or over the work cap."""
+    if not t_final > 0:
+        raise ConfigError(f"t_final must be positive, got {t_final}")
+    _check_dt(dt)
+    if t_final < dt:
+        raise ConfigError(f"t_final = {t_final} is shorter than one step dt = {dt}")
+    n_steps = t_final / dt
+    if n_steps < math.inf:  # round() overflows at inf, a count the cap refuses anyway
+        n_steps = round(n_steps)
+    if n_steps * n_cells > _MAX_CELL_STEPS:
+        raise ConfigError(f"{n_steps:.7g} steps of {n_cells} cells exceed the limit of "
+                          f"{_MAX_CELL_STEPS:.7g} cell updates")
+    return n_steps
+
+
 def step_euler(q: GridDensity1D, dt: float) -> GridDensity1D:
     """One forward Euler step q + dt*(Q+[q] - q).
 
@@ -237,23 +251,21 @@ def step_euler(q: GridDensity1D, dt: float) -> GridDensity1D:
 
 @dataclass
 class Trajectory:
-    """Result of solve(): snapshots at requested times plus bookkeeping."""
+    """Result of solve(): the last state and the mass lost past x_max."""
 
-    times: list[float] = field(default_factory=list)
-    snapshots: list[GridDensity1D] = field(default_factory=list)
-    final: GridDensity1D | None = None
-    tail_loss: float = 0.0  # cumulative mass lost past x_max
+    final: GridDensity1D
+    tail_loss: float  # cumulative mass lost past x_max
 
 
 def solve(q0: GridDensity1D, t_final: float, dt: float, snapshot_times=None, observers=()) -> Trajectory:
     """Integrate dq/dt = Q+[q] - q with forward Euler from q0 to t_final.
 
-    Snapshots record the state at the last step time <= each requested
-    time (densities are immutable, so recorded snapshots never change
-    under further stepping); observers are callables observer(t, q)
-    invoked at the same instants. Without explicit snapshot times only
-    t = 0 and t_final are recorded. t_final must be at least dt and is
-    rounded to the nearest multiple of dt.
+    Each observer(t, q) sees the state at the last step time <= each
+    snapshot time (default: t = 0 and t_final). solve keeps no state but
+    the last, so after it returns the only densities alive are the final
+    one and those an observer kept. t_final must be at least dt and is
+    rounded to the nearest multiple of dt; a run over _MAX_CELL_STEPS cell
+    updates is refused before the first step.
 
     q0 should carry discrete mass exactly 1 (use normalized()): the mass
     flow of the equation is m' = m^2 - m, so a sampling deficit epsilon
@@ -263,12 +275,7 @@ def solve(q0: GridDensity1D, t_final: float, dt: float, snapshot_times=None, obs
     roughly t < x_max/m1 - log(1/tolerance). Mass is deliberately never
     renormalized mid-run; the drift is reported on the trajectory.
     """
-    if not t_final > 0:
-        raise ConfigError(f"t_final must be positive, got {t_final}")
-    _check_dt(dt)
-    if t_final < dt:
-        raise ConfigError(f"t_final = {t_final} is shorter than one step dt = {dt}")
-    n_steps = int(round(t_final / dt))
+    n_steps = _step_count(t_final, dt, q0.grid.n_cells)
     if snapshot_times is None:
         snap_steps = {0, n_steps}
     else:
@@ -277,26 +284,14 @@ def solve(q0: GridDensity1D, t_final: float, dt: float, snapshot_times=None, obs
             raise ConfigError("snapshot times must lie within [0, t_final]")
         snap_steps = {min(n_steps, int(math.floor(t / dt + 1e-9))) for t in snapshot_times}
 
-    traj = Trajectory()
     q = q0
-    mass0 = q0.mass
-
-    def record(step: int, q: GridDensity1D):
-        t = step * dt
-        traj.times.append(t)
-        traj.snapshots.append(q)
-        for obs in observers:
-            obs(t, q)
-
-    if 0 in snap_steps:
-        record(0, q)
-    for step in range(1, n_steps + 1):
-        q = step_euler(q, dt)
+    for step in range(n_steps + 1):
+        if step:
+            q = step_euler(q, dt)
         if step in snap_steps:
-            record(step, q)
-    traj.final = q
-    traj.tail_loss = mass0 - q.mass
-    return traj
+            for obs in observers:
+                obs(step * dt, q)
+    return Trajectory(final=q, tail_loss=q0.mass - q.mass)
 
 
 # ---------------------------------------------------------------------------

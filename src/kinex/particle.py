@@ -34,6 +34,8 @@ _SELF_CHECK_RTOL = 1e-9
 _IN_PLACE_AGENTS = 30_000  # see _run
 # A larger population is refused before numpy would try to allocate it.
 _MAX_AGENTS = 10**6
+# More expected events (total rate x time) are refused before the first draw; 20x figure1's.
+_MAX_EVENTS = 10**8
 
 
 class WealthVector:
@@ -77,6 +79,7 @@ class SimConfig:
             raise ConfigError(f"t_final must be positive and finite, got {self.t_final}")
         if self.clock_scale not in ("pairwise", "global"):
             raise ConfigError(f"clock_scale must be 'pairwise' or 'global', got {self.clock_scale!r}")
+        _check_events(self.total_rate() * self.t_final, f"a run of {self.n_agents} agents to t = {self.t_final:g}")
         times = tuple(float(t) for t in self.snapshot_times)
         if not all(0 <= t <= self.t_final for t in times) or list(times) != sorted(times):
             raise ConfigError("snapshot times must be sorted and within [0, t_final]")
@@ -94,6 +97,12 @@ def _check_n_agents(n: int) -> None:
         raise ConfigError(f"need at least 2 agents, got {n}")
     if n > _MAX_AGENTS:
         raise ConfigError(f"a population of {n} agents exceeds the limit of {_MAX_AGENTS} agents")
+
+
+def _check_events(expected: float, what: str) -> None:
+    """Refuse work of more than _MAX_EVENTS expected events; what names the work."""
+    if expected > _MAX_EVENTS:
+        raise ConfigError(f"{what}: {expected:.3g} expected events exceed the limit of {_MAX_EVENTS:.3g} events")
 
 
 def spawn_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:

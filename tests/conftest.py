@@ -34,3 +34,15 @@ def compact_random_density(grid, seed, width_fraction=0.4):
     n_support = int(grid.n_cells * width_fraction)
     values[:n_support] = rng.random(n_support) + 1e-3
     return GridDensity1D(grid, values).normalized()
+
+
+class Recorder:
+    """A solve() observer that keeps the time and the density of every record."""
+
+    def __init__(self):
+        self.times = []
+        self.snapshots = []
+
+    def __call__(self, t, q):
+        self.times.append(t)
+        self.snapshots.append(q)

@@ -23,6 +23,7 @@ from kinex.kinetic1d import (
     uniform_density,
 )
 
+from conftest import Recorder
 from oracles import dissipation as dissipation_oracle
 from oracles import gap_ratio_quadrature
 from oracles import spectral as sp
@@ -73,8 +74,9 @@ def test_criterion_02_moment_law_three_ways():
     values = np.zeros(grid.n_cells)
     values[199] = 1.0 / grid.dx
     assert grid.nodes[199] == pytest.approx(10.0, abs=1e-12)
-    traj = solve(GridDensity1D(grid, values), 10.0, 0.01, snapshot_times=targets)
-    for t, snap in zip(traj.times, traj.snapshots):
+    rec = Recorder()
+    solve(GridDensity1D(grid, values), 10.0, 0.01, snapshot_times=targets, observers=(rec,))
+    for t, snap in zip(rec.times, rec.snapshots):
         assert abs(snap.moment(2) - expected[round(t, 6)]) / expected[round(t, 6)] < 0.01
 
     # particle ensemble: 100 independent runs at N = 1000
@@ -139,10 +141,11 @@ def test_criterion_06_w2_contraction():
     q0 = uniform_density(grid, 0.0, 2.0)
     equilibrium = Equilibrium(1.0).on_grid(grid).normalized()
     times = np.arange(0.0, 20.1, 0.5)
-    traj = solve(q0, 20.0, 0.02, snapshot_times=times)
+    rec = Recorder()
+    solve(q0, 20.0, 0.02, snapshot_times=times, observers=(rec,))
     w0 = dg.wasserstein2(q0, equilibrium)
     worst = 0.0
-    for t, snap in zip(traj.times, traj.snapshots):
+    for t, snap in zip(rec.times, rec.snapshots):
         ratio = dg.wasserstein2(snap.normalized(), equilibrium) / (w0 * math.exp(-t / 6.0))
         worst = max(worst, ratio)
     assert worst <= 1.05
@@ -165,11 +168,12 @@ def test_criterion_07_entropy_dissipation_identity():
     grid = Grid1D.from_spacing(20.0, 0.05)  # M = 400
     q0 = uniform_density(grid, 0.0, 2.0)
     times = np.arange(0.4, 5.11, 0.1)
-    traj = solve(q0, 5.2, 0.005, snapshot_times=times)
+    rec = Recorder()
+    solve(q0, 5.2, 0.005, snapshot_times=times, observers=(rec,))
     eq = Equilibrium(1.0).on_grid(grid)
-    entropy = np.array([dg.relative_entropy(s, eq) for s in traj.snapshots])
-    ts = np.asarray(traj.times)
-    dissip = np.array([dissipation_oracle(s, "decomposed") for s in traj.snapshots])
+    entropy = np.array([dg.relative_entropy(s, eq) for s in rec.snapshots])
+    ts = np.asarray(rec.times)
+    dissip = np.array([dissipation_oracle(s, "decomposed") for s in rec.snapshots])
     fd = (entropy[2:] - entropy[:-2]) / (ts[2:] - ts[:-2])
     inner = (ts[1:-1] >= 0.5) & (ts[1:-1] <= 5.0)
     rel = np.abs(fd + dissip[1:-1] / 4.0) / (dissip[1:-1] / 4.0)
@@ -266,9 +270,10 @@ def test_criterion_12_property_suites():
 
     grid = Grid1D.from_spacing(20.0, 0.01)
     q0 = uniform_density(grid, 0.0, 2.0)
-    traj = solve(q0, 8.0, 0.05, snapshot_times=np.arange(0.0, 8.1, 0.5))
+    rec = Recorder()
+    solve(q0, 8.0, 0.05, snapshot_times=np.arange(0.0, 8.1, 0.5), observers=(rec,))
     worst_g = 0.0
-    for snap in traj.snapshots:
+    for snap in rec.snapshots:
         worst_g = max(worst_g, dg.laplace_check(snap, 0.6, 1.0))
         h = gain(snap).values
         assert np.all(np.diff(h) <= 1e-15)

@@ -15,7 +15,7 @@ import kinex
 from kinex import experiments as ex
 from kinex import particle as pt
 from kinex.cli import build_parser, main
-from kinex.kinetic1d import Equilibrium, Grid1D, save_density, uniform_density
+from kinex.kinetic1d import _MAX_CELL_STEPS, Equilibrium, Grid1D, save_density, uniform_density
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(kinex.__file__).parents[1]
@@ -211,6 +211,35 @@ class TestBadInput:
         assert code == 1
         assert not out.exists()
         assert f"a population of {n} agents exceeds the limit of {pt._MAX_AGENTS} agents" in one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["simulate", "--n", "100", "--t", "1e300"],
+             f"4.95e+301 expected events exceed the limit of {pt._MAX_EVENTS:.3g} events"),
+            (["pde", "--dx", "0.05", "--t", "1e300"],
+             f"2e+301 steps of 400 cells exceed the limit of {_MAX_CELL_STEPS:.7g} cell updates"),
+            (["study", "--study", "chaos", "--n-list", "100000,1000000", "--replicas", "10", "--t", "100"],
+             "10 replicas of 2 population sizes: 5.5e+08 expected events exceed the limit"),
+            (["study", "--study", "chaos", "--replicas", "1000000000000"],
+             f"1000000000000 replicas per population size exceed the limit of {ex._MAX_REPLICAS}"),
+        ],
+        ids=["simulate-events", "pde-cell-steps", "chaos-events", "chaos-replicas"],
+    )
+    def test_work_cap(self, argv, named, tmp_path, capsys, monkeypatch):
+        """Work over a cap is refused in under 1 s, before any balance, observer or PDE step."""
+        def not_reached(*args, **kwargs):
+            pytest.fail("the run started before its work was checked")
+
+        for target in ("kinex.particle.make_initial", "kinex.experiments.solve", "kinex.cli.solve",
+                       "kinex.cli.TrajectoryObserver"):
+            monkeypatch.setattr(target, not_reached)
+        start = time.perf_counter()
+        code, out = run(argv, tmp_path)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert not out.exists()
+        assert named in one_line_error(capsys)
 
     def test_negative_seed_in_config_file(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"

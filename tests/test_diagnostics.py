@@ -9,7 +9,7 @@ from kinex import experiments as ex
 from kinex.errors import ConfigError, DomainError
 from kinex.kinetic1d import Equilibrium, Grid1D, GridDensity1D, gain, solve, uniform_density
 
-from conftest import compact_random_density
+from conftest import Recorder, compact_random_density
 from oracles import diagonal_average, dirac_density, touches_positive_diagonal
 from oracles import dissipation as dissipation_oracle
 from oracles.entropy import derived_densities, entropy_sandwich, phi_weighted_entropy_bound
@@ -50,8 +50,9 @@ class TestRelativeEntropy:
             assert dg.relative_entropy(p, r) == math.inf
 
     def test_nonincreasing_along_trajectory(self, uniform02, exp1):
-        traj = solve(uniform02, 5.0, 0.05, snapshot_times=np.arange(0, 5.1, 0.5))
-        values = [dg.relative_entropy(s, exp1) for s in traj.snapshots]
+        rec = Recorder()
+        solve(uniform02, 5.0, 0.05, snapshot_times=np.arange(0, 5.1, 0.5), observers=(rec,))
+        values = [dg.relative_entropy(s, exp1) for s in rec.snapshots]
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
@@ -133,9 +134,10 @@ class TestDissipation:
     def test_fft_path_matches_direct_sum_oracle(self, start, every):
         """At every record, D from the one FFT and the hull rule matches the exact direct sum."""
         grid = Grid1D.from_spacing(20.0, 0.05)  # M = 400
-        traj = solve(start(grid), 1.0, 0.05, snapshot_times=np.arange(0.0, 1.0 + 1e-9, every))
-        library = np.array([dg.dissipation(q) for q in traj.snapshots])
-        oracle = np.array([dissipation_oracle(q, "decomposed") for q in traj.snapshots])
+        rec = Recorder()
+        solve(start(grid), 1.0, 0.05, snapshot_times=np.arange(0.0, 1.0 + 1e-9, every), observers=(rec,))
+        library = np.array([dg.dissipation(q) for q in rec.snapshots])
+        oracle = np.array([dissipation_oracle(q, "decomposed") for q in rec.snapshots])
         infinite = np.isinf(oracle)
         assert np.array_equal(np.isinf(library), infinite)
         assert infinite[0] and not infinite[-1]
@@ -249,8 +251,9 @@ class TestLaplace:
         assert np.max(np.abs(G - 1.0)) < 1e-4
 
     def test_sup_bounded_along_trajectory(self, uniform02):
-        traj = solve(uniform02, 8.0, 0.05, snapshot_times=np.arange(0, 8.1, 0.5))
-        sups = [dg.laplace_check(s, 0.6, 1.0) for s in traj.snapshots]
+        rec = Recorder()
+        solve(uniform02, 8.0, 0.05, snapshot_times=np.arange(0, 8.1, 0.5), observers=(rec,))
+        sups = [dg.laplace_check(s, 0.6, 1.0) for s in rec.snapshots]
         assert max(sups) <= 1.0 + 5e-3
 
     def test_concentrated_mass_strictly_below_one(self, grid_fine):
@@ -321,13 +324,15 @@ class TestWasserstein:
         bad = GridDensity1D(grid_fine, np.full(grid_fine.n_cells, 0.01))
         with pytest.raises(DomainError):
             dg.wasserstein1(bad, bad)
-        with pytest.raises(DomainError):  # bad's measure is cached now and checked again
+        with pytest.raises(DomainError):  # the first argument's measure is built and checked per call
             dg.wasserstein2(bad, bad)
 
     def test_reused_equilibrium_matches_fresh_bit_for_bit(self, uniform02, monkeypatch):
         """W1 and W2 against one reused equilibrium equal those against a new one, exactly."""
         grid = uniform02.grid
-        snapshots = solve(uniform02, 1.5, 0.05, snapshot_times=(0.5, 1.0, 1.5)).snapshots
+        rec = Recorder()
+        solve(uniform02, 1.5, 0.05, snapshot_times=(0.5, 1.0, 1.5), observers=(rec,))
+        snapshots = rec.snapshots
         fresh = []
         for q in snapshots:
             eq_new = Equilibrium(1.0).on_grid(grid).normalized()
@@ -339,13 +344,15 @@ class TestWasserstein:
         for q, expected in zip(snapshots, fresh):
             assert (dg.wasserstein1(q, eq), dg.wasserstein2(q, eq)) == expected
         assert sum(obj is eq for obj in built) == 1  # its CDF and quantiles were built once
+        assert all(sum(obj is q for obj in built) == 2 for q in snapshots)  # q's, once per call
 
     def test_measure_cache_is_keyed_by_identity(self, exp1):
+        """A reference keeps its measure in its own memo; a first argument's is built per call."""
         q = exp1.normalized()
-        measure = dg._density_measure(q)
-        assert dg._density_measure(q) is measure
-        assert dg._density_measure(GridDensity1D(q.grid, q.values)) is not measure
-        assert len(dg._recent_measures) == dg._MEASURE_SLOTS
+        measure = dg._measure(q, keep=True)
+        assert dg._measure(q, keep=True) is measure and q._memo["measure"] is measure
+        assert dg._measure(GridDensity1D(q.grid, q.values), keep=True) is not measure
+        assert dg._measure(q) is not measure
 
 
 class TestEntropyDissipationIdentity:
@@ -353,11 +360,12 @@ class TestEntropyDissipationIdentity:
         grid = Grid1D.from_spacing(20.0, 0.05)
         q0 = uniform_density(grid, 0.0, 2.0)
         times = np.arange(0.4, 2.21, 0.1)
-        traj = solve(q0, 2.3, 0.005, snapshot_times=times)
+        rec = Recorder()
+        solve(q0, 2.3, 0.005, snapshot_times=times, observers=(rec,))
         eq = Equilibrium(1.0).on_grid(grid)
-        entropy = np.array([dg.relative_entropy(s, eq) for s in traj.snapshots])
-        ts = np.asarray(traj.times)
-        dissip = np.array([dissipation_oracle(s, "decomposed") for s in traj.snapshots])
+        entropy = np.array([dg.relative_entropy(s, eq) for s in rec.snapshots])
+        ts = np.asarray(rec.times)
+        dissip = np.array([dissipation_oracle(s, "decomposed") for s in rec.snapshots])
         fd = (entropy[2:] - entropy[:-2]) / (ts[2:] - ts[:-2])
         rel = np.abs(fd + dissip[1:-1] / 4) / (dissip[1:-1] / 4)
         assert np.max(rel) < 0.02
@@ -429,13 +437,13 @@ def test_observer_scales_laplace_with_mean():
     assert observer.laplace_C == pytest.approx(5.0, rel=1e-6)
 
 
-def test_observer_reads_one_cdf_per_record(uniform02, monkeypatch):
-    """The mass check, W1 and W2 of a record share one CDF of q; the equilibrium's is built once."""
+def test_observer_builds_the_reference_cdf_once(uniform02, monkeypatch):
+    """The mass check, W1 and W2 of a record each read a CDF of q; the equilibrium's is built once."""
     calls = []
     cdf_points = GridDensity1D.cdf_points
     monkeypatch.setattr(GridDensity1D, "cdf_points", lambda q: calls.append(q) or cdf_points(q))
-    monkeypatch.setattr(dg, "_recent_measures", (), raising=False)
     observer = dg.TrajectoryObserver()
     solve(uniform02, 1.0, 0.05, snapshot_times=np.arange(0.0, 1.01, 0.25), observers=(observer,))
     assert len(observer.records) == 5
-    assert len(calls) == 5 + 1
+    assert sum(q is observer._eq for q in calls) == 1
+    assert len(calls) == 3 * 5 + 1

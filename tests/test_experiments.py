@@ -9,6 +9,8 @@ from kinex import experiments as ex
 from kinex.errors import ConfigError, DataError
 from kinex.kinetic1d import Equilibrium, Grid1D
 
+from conftest import Recorder
+
 
 class TestFitHelpers:
     def test_linear_fit_exact_line(self):
@@ -83,8 +85,9 @@ class TestContractionStudy:
 
         grid = Grid1D.from_spacing(20.0, 0.01)
         q0 = Equilibrium(1.0).on_grid(grid).normalized()
-        traj = solve(q0, 5.0, 0.05, snapshot_times=np.arange(0.0, 5.1, 1.0))
-        for snap in traj.snapshots:
+        rec = Recorder()
+        solve(q0, 5.0, 0.05, snapshot_times=np.arange(0.0, 5.1, 1.0), observers=(rec,))
+        for snap in rec.snapshots:
             assert wasserstein2(snap.normalized(), q0) < 1e-4
 
     def test_small_configuration(self, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from kinex.kinetic1d import (
     step_euler,
     uniform_density,
 )
-from conftest import compact_random_density
+from conftest import Recorder, compact_random_density
 from oracles import dirac_density, direct_self_convolution
 from oracles.moments import m2_closed_form
 
@@ -181,11 +182,10 @@ class TestGain:
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Counts kinetic1d._fft_square calls; starts with an empty convolution cache."""
+    """Counts kinetic1d._fft_square calls."""
     calls = []
     square = kinetic1d._fft_square
     monkeypatch.setattr(kinetic1d, "_fft_square", lambda v: calls.append(v.size) or square(v))
-    monkeypatch.setattr(kinetic1d, "_last_convolution", (None, None), raising=False)
     return calls
 
 
@@ -217,6 +217,7 @@ class TestConvolutionCache:
         assert self_convolution(exp1) is c
 
     def test_keyed_by_identity_not_values(self, grid_fine, fft_calls):
+        """Each density keeps its own q*q: an equal-valued twin convolves again, and another density evicts none."""
         q = compact_random_density(grid_fine, seed=3)
         c = self_convolution(q)
         twin = GridDensity1D(grid_fine, q.values)  # equal values, another object
@@ -224,10 +225,9 @@ class TestConvolutionCache:
         assert c_twin is not c and np.array_equal(c_twin, c)
         other = compact_random_density(grid_fine, seed=4)
         c_other = self_convolution(other)
-        kinetic1d._last_convolution = (None, None)
-        assert np.array_equal(c_other, self_convolution(other))
+        assert self_convolution(q) is c and self_convolution(other) is c_other
         assert not np.array_equal(c_other, c)
-        assert len(fft_calls) == 4  # one per call: no call was served another density's result
+        assert len(fft_calls) == 3  # one per density: no call was served another density's result
 
 
 class TestRhs:
@@ -277,8 +277,9 @@ class TestStepEuler:
                 assert (q.values + dt * rhs(q)).min() >= 0.0
 
     def test_never_negative_along_solve(self, uniform02):
-        traj = solve(uniform02, 2.0, 0.5, snapshot_times=np.arange(0, 2.1, 0.5))
-        for snap in traj.snapshots:
+        rec = Recorder()
+        solve(uniform02, 2.0, 0.5, snapshot_times=np.arange(0, 2.1, 0.5), observers=(rec,))
+        for snap in rec.snapshots:
             assert snap.values.min() >= 0.0
 
 
@@ -295,7 +296,9 @@ class TestSolve:
     def test_horizon_shorter_than_step(self, uniform02):
         with pytest.raises(ConfigError, match="shorter than one step"):
             solve(uniform02, 0.03, 0.05)  # used to step on to t = 0.05
-        assert solve(uniform02, 0.05, 0.05).times == [0.0, 0.05]
+        rec = Recorder()
+        solve(uniform02, 0.05, 0.05, observers=(rec,))
+        assert rec.times == [0.0, 0.05]
 
     def test_equilibrium_stationary(self, exp1):
         # the normalized grid exponential is an exact discrete fixed point up
@@ -318,9 +321,10 @@ class TestSolve:
 
     def test_m2_matches_closed_form(self, uniform02):
         times = np.arange(0.0, 10.5, 1.0)
-        traj = solve(uniform02, 10.0, 0.01, snapshot_times=times)
-        m2 = np.array([s.moment(2) for s in traj.snapshots])
-        expected = m2_closed_form(np.array(traj.times), uniform02.mean, uniform02.moment(2))
+        rec = Recorder()
+        solve(uniform02, 10.0, 0.01, snapshot_times=times, observers=(rec,))
+        m2 = np.array([s.moment(2) for s in rec.snapshots])
+        expected = m2_closed_form(np.array(rec.times), uniform02.mean, uniform02.moment(2))
         assert np.max(np.abs(m2 - expected) / expected) < 0.01
 
     def test_conservation_budgets(self, uniform02):
@@ -331,13 +335,37 @@ class TestSolve:
     def test_snapshots_never_alias_live_state(self, uniform02):
         # densities are immutable, so a recorded snapshot can never change
         # under further stepping, and its buffer rejects writes
-        traj = solve(uniform02, 1.0, 0.5, snapshot_times=[0.5])
-        mid = traj.snapshots[-1]
+        rec = Recorder()
+        solve(uniform02, 1.0, 0.5, snapshot_times=[0.5], observers=(rec,))
+        mid = rec.snapshots[-1]
         frozen = mid.values.copy()
         solve(mid, 1.0, 0.5)
         assert np.array_equal(mid.values, frozen)
         with pytest.raises(ValueError):
             mid.values[0] = 99.0
+
+    def test_keeps_no_density_but_the_final_one(self, uniform02, monkeypatch):
+        """After solve returns, the densities alive are final and those an observer kept."""
+        made = []
+        init = GridDensity1D.__init__
+
+        def tracked(self, *args):
+            init(self, *args)
+            made.append(weakref.ref(self))
+
+        monkeypatch.setattr(GridDensity1D, "__init__", tracked)
+        observer = TrajectoryObserver()
+        kept = []
+
+        def keep_mid(t, q):
+            if abs(t - 0.5) < 1e-9:
+                kept.append(q)
+
+        traj = solve(uniform02, 1.0, 0.05, snapshot_times=np.arange(0.0, 1.01, 0.25),
+                     observers=(observer, keep_mid))
+        assert len(made) > 40  # each of the 20 steps makes its gain and its new state
+        alive = {id(q) for q in (ref() for ref in made) if q is not None}
+        assert alive == {id(traj.final), id(kept[0]), id(observer._eq)}
 
     def test_snapshot_window_validated(self, uniform02):
         with pytest.raises(ConfigError):

@@ -7,6 +7,7 @@ from scipy import integrate
 from kinex.errors import DomainError, KinexError
 from kinex.kinetic1d import Equilibrium, Grid1D, GridDensity1D, solve, uniform_density
 
+from conftest import Recorder
 from oracles import gap_ratio_quadrature, norm_weighted
 from oracles import spectral as sp
 
@@ -205,11 +206,12 @@ class TestProjection:
         grid = Grid1D.from_spacing(20.0, 0.01)
         q0 = uniform_density(grid, 0.0, 2.0)
         times = np.arange(5.0, 15.1, 0.5)
-        traj = solve(q0, 15.0, 0.01, snapshot_times=times)
+        rec = Recorder()
+        solve(q0, 15.0, 0.01, snapshot_times=times, observers=(rec,))
         alphas = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            for snap in traj.snapshots:
+            for snap in rec.snapshots:
                 alphas.append(sp.project_perturbation(snap.normalized(), n_max=16).coefficients[2])
-        rate = -np.polyfit(traj.times, np.log(np.abs(alphas)), 1)[0]
+        rate = -np.polyfit(rec.times, np.log(np.abs(alphas)), 1)[0]
         assert 0.32 <= rate <= 0.35
