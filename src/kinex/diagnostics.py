@@ -13,10 +13,11 @@ agree to rounding error.
 
 Wasserstein distances use the one-dimensional coupling: W1 as the exact
 area between CDFs on the merged breakpoint set, W2 through inverse-CDF
-evaluation on a fine u-grid with a half-resolution consistency check. The
-second argument is the reference side: a grid density there keeps its CDF
-and W2 quantiles in its memo, so a trajectory's equilibrium is built and
-inverted once. The first argument's CDF is built per call.
+evaluation on a fine u-grid with a half-resolution consistency check,
+taken a block of the u-grid at a time. The second argument is the
+reference side: a grid density there keeps its CDF in its memo, so a
+trajectory's equilibrium is built once. The first argument's CDF is built
+per call.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .kinetic1d import gain  # noqa: F401  unused here; perfbench/selftest.py ch
 
 _LAPLACE_POINTS = 64  # lambda grid of the damped Laplace transform
 _W2_POINTS = 1 << 16  # u-grid of the W2 quantile coupling
+_QUANTILE_BLOCK = 1 << 13  # u-grid points W2 inverts at a time
 
 
 def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -188,8 +190,6 @@ class _Measure:
             self.mass = 1.0
             self.step = True
         self.xs.setflags(write=False)  # a kept measure is shared by every caller
-        # u-grid size n -> quantile((arange(n) + 0.5) / n), kept for the reference side of W2
-        self.midpoint_quantiles: dict[int, np.ndarray] = {}
 
     def cdf_right(self, x: np.ndarray) -> np.ndarray:
         """Right-continuous CDF values F(x+)."""
@@ -255,21 +255,27 @@ def wasserstein1(p, r) -> float:
 def wasserstein2(p, r) -> float:
     """1-D W2 via inverse CDFs on a u-grid, with a half-resolution check.
 
-    r is the reference side: a grid density there keeps its measure and its
-    u-grid quantiles in its memo, so a reference passed to every call (the
-    observer's equilibrium, contraction's) is inverted once.
+    r is the reference side: a grid density there keeps its measure in its
+    memo, so a reference passed to every call (the observer's equilibrium,
+    contraction's) is built once. Both sides are inverted _QUANTILE_BLOCK
+    points of the u-grid at a time, into one array of their gaps, which
+    are the values the whole u-grid gives; no quantiles are kept.
     """
     mp, mr = _measure(p), _measure(r, keep=True)
     if not (np.isfinite(mp.second_moment()) and np.isfinite(mr.second_moment())):
         raise DomainError("wasserstein2 needs finite second moments")
 
     def estimate(n: int) -> float:
-        u = (np.arange(n) + 0.5) / n
-        ref = mr.midpoint_quantiles.get(n)
-        if ref is None:
-            ref = mr.midpoint_quantiles[n] = mr.quantile(u)
-        d = mp.quantile(u) - ref
-        return float(np.sqrt(np.mean(d**2)))
+        d = np.empty(n)  # quantile gaps on the u-grid (arange(n) + 0.5) / n
+        for lo in range(0, n, _QUANTILE_BLOCK):
+            u = np.arange(lo, min(lo + _QUANTILE_BLOCK, n), dtype=float)
+            u += 0.5
+            u /= n
+            gap = mp.quantile(u)
+            gap -= mr.quantile(u)
+            d[lo : lo + u.size] = gap
+        d *= d
+        return float(np.sqrt(np.mean(d)))
 
     fine = estimate(_W2_POINTS)
     coarse = estimate(_W2_POINTS // 2)
@@ -324,6 +330,13 @@ class TrajectoryObserver:
     scale-invariant transfer of the mean-1 bound: the exponential moment
     would diverge otherwise. The initial mass is remembered so tail_mass
     reports cumulative truncation loss.
+
+    solve calls it on its one record thread, one record at a time, while
+    the next Euler steps run; the records and their bytes are those of a
+    sequential run. It enters no warnings.catch_warnings, whose filters are
+    shared by every thread: a +inf D is decided by the hull rule
+    (_check_positive_where_needed), and dissipation is called only for
+    finite records, so it never warns.
     """
 
     def __init__(self, wasserstein: bool = True):
@@ -340,9 +353,8 @@ class TrajectoryObserver:
             self.lam0 = 0.6 / q.mean
             self.laplace_C = q.mean
             self._eq = Equilibrium(q.mean).on_grid(q.grid).normalized()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # early snapshots may have D = +inf
-            d_val = dissipation(q)
+        # early snapshots may have D = +inf (see the class docstring)
+        d_val = math.inf if _check_positive_where_needed(q.values) else dissipation(q)
         w1 = w2 = math.nan
         if self.wasserstein:
             mass = q.cdf_points()[1][-1]  # the cumulative mass (not np.sum) W1/W2 check

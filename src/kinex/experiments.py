@@ -159,8 +159,8 @@ CONTRACTION = {
 def _pde_envelope(report: StudyReport) -> tuple[list, list, np.ndarray]:
     """The PDE route's times, W2(q_t, q_inf) and envelope, and its check.
 
-    Its own function, so the equilibrium and the W2 quantiles in its memo
-    are freed before the coupled particle runs.
+    Its own function, so the equilibrium and the CDF in its memo are freed
+    when it returns.
     """
     t_final, dt = CONTRACTION["t_final"], CONTRACTION["dt"]
     grid = Grid1D.from_spacing(20.0, CONTRACTION["dx"])
@@ -191,7 +191,6 @@ def contraction_study(seed: int = 0) -> StudyReport:
     """
     report = StudyReport("contraction", {"seed": seed, **CONTRACTION})
     coupled_n, coupled_m1, coupled_t = (CONTRACTION[k] for k in ("coupled_n", "coupled_m1", "coupled_t"))
-    times, w2s, envelope = _pde_envelope(report)
     snap = tuple(np.arange(0.0, coupled_t + 1e-9, 0.25))
 
     def coupled(start: float, run_seed: int) -> pt.CoupledSeries:
@@ -215,6 +214,9 @@ def contraction_study(seed: int = 0) -> StudyReport:
     worst_proxy = float(np.max(proxy / proxy_env))
     report.add_check("coupled_w2_proxy_envelope", worst_proxy <= 1.05, worst_ratio=worst_proxy)
 
+    # last: memory that solve's record thread frees stays with that thread's malloc arena,
+    # which would otherwise add to the peak of the coupled runs
+    times, w2s, envelope = _pde_envelope(report)
     report.series_columns = ["time", "w2_pde", "envelope", "coupled_msd", "coupled_msd_floor"]
     msd_at = np.interp(times, series.times, series.msd, right=math.nan)
     report.series_rows = [[*row, series.msd_floor] for row in zip(times, w2s, envelope, msd_at)]
@@ -231,6 +233,9 @@ CHAOS = {"dx": 0.01, "dt": 0.01}
 _CHAOS_X_MAX = 20.0
 # 500x the default 20 replicas
 _MAX_REPLICAS = 10_000
+# simulate runs, sizes x replicas (each costs about 2.6 ms, however short): every two-size
+# study under the replica cap passes, and 333x the default 60 runs
+_MAX_CHAOS_RUNS = 2 * _MAX_REPLICAS
 
 
 def chaos_scaling(
@@ -255,6 +260,9 @@ def chaos_scaling(
         raise ConfigError("need at least 10 replicas per population size")
     if replicas > _MAX_REPLICAS:  # group.spawn(replicas) builds every child seed at once
         raise ConfigError(f"{replicas} replicas per population size exceed the limit of {_MAX_REPLICAS}")
+    if len(n_list) * replicas > _MAX_CHAOS_RUNS:
+        raise ConfigError(f"{len(n_list)} population sizes x {replicas} replicas = {len(n_list) * replicas} "
+                          f"simulate runs exceed the limit of {_MAX_CHAOS_RUNS}")
     # sizes and events are refused here, before the PDE solve, not by a simulate call after it
     rates = [pt.SimConfig(n_agents=n, t_final=t_eval).total_rate() for n in n_list]
     pt._check_events(replicas * t_eval * sum(rates), f"{replicas} replicas of {len(n_list)} population sizes")

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,8 @@ _NEGATIVITY_CLIP = 1e-14
 _MAX_CELLS = 2**22
 # More cell updates (cells x Euler steps) are refused before the first step; 50x the largest default run.
 _MAX_CELL_STEPS = 10**8
+# Density CSV rows per write: the whole file as one string raised pde's peak RSS by about 1 MB.
+_CSV_BLOCK = 1024
 
 
 class Grid1D:
@@ -257,6 +260,59 @@ class Trajectory:
     tail_loss: float  # cumulative mass lost past x_max
 
 
+class _RecordThread:
+    """The one worker thread of a solve: it runs each record (every observer, in order, on one (t, q)).
+
+    One record is in flight at a time, and its error is raised on the
+    solving thread. The thread lives as long as the solve: a new thread
+    per record can be handed a second malloc arena before the last one's
+    is released, and each arena keeps the memory its thread freed.
+    """
+
+    def __init__(self, observers):
+        self._observers = observers
+        self._job = None  # (t, q) of the record to run; None stops the thread
+        self._failure = None  # what the last record raised, until wait() raises it
+        self._busy = False
+        self._todo, self._done = threading.Semaphore(0), threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._serve, name="kinex-record")
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while self._todo.acquire() and self._job is not None:
+            try:
+                for obs in self._observers:
+                    obs(*self._job)
+            except BaseException as exc:  # handed to the solving thread, which raises it
+                self._failure = exc
+            self._job = None
+            self._done.release()
+
+    def wait(self) -> None:
+        """Wait for the record in flight, if any, and raise the error it ended with."""
+        if self._busy:
+            self._done.acquire()
+            self._busy = False
+        if self._failure is not None:
+            failure, self._failure = self._failure, None
+            raise failure
+
+    def submit(self, t: float, q: GridDensity1D) -> None:
+        """Start the record of (t, q) once the one in flight is done."""
+        self.wait()
+        self._job = (t, q)
+        self._busy = True
+        self._todo.release()
+
+    def close(self) -> None:
+        """Wait for the record in flight, stop the thread, and raise that record's error."""
+        try:
+            self.wait()
+        finally:
+            self._todo.release()
+            self._thread.join()
+
+
 def solve(q0: GridDensity1D, t_final: float, dt: float, snapshot_times=None, observers=()) -> Trajectory:
     """Integrate dq/dt = Q+[q] - q with forward Euler from q0 to t_final.
 
@@ -266,6 +322,17 @@ def solve(q0: GridDensity1D, t_final: float, dt: float, snapshot_times=None, obs
     one and those an observer kept. t_final must be at least dt and is
     rounded to the nearest multiple of dt; a run over _MAX_CELL_STEPS cell
     updates is refused before the first step.
+
+    A record (every observer, in order, on one (t, q)) runs on one worker
+    thread while this thread takes the next Euler steps; numpy releases the
+    GIL in its FFTs and array loops, and densities are immutable, so both
+    threads compute what they would compute one after the other. One
+    record is in flight at a time: solve waits for it before the next
+    record starts and before it returns or raises, and re-raises the
+    error a record ended with, in preference to an error of a later step.
+    Before it hands q to a record that a step follows, solve convolves q
+    itself, so the record's dissipation(q) and the step share that one FFT.
+    A solve without observers starts no thread.
 
     q0 should carry discrete mass exactly 1 (use normalized()): the mass
     flow of the equation is m' = m^2 - m, so a sampling deficit epsilon
@@ -285,12 +352,18 @@ def solve(q0: GridDensity1D, t_final: float, dt: float, snapshot_times=None, obs
         snap_steps = {min(n_steps, int(math.floor(t / dt + 1e-9))) for t in snapshot_times}
 
     q = q0
-    for step in range(n_steps + 1):
-        if step:
-            q = step_euler(q, dt)
-        if step in snap_steps:
-            for obs in observers:
-                obs(step * dt, q)
+    recorder = _RecordThread(observers) if observers else None
+    try:
+        for step in range(n_steps + 1):
+            if step:
+                q = step_euler(q, dt)
+            if recorder is not None and step in snap_steps:
+                if step < n_steps:
+                    self_convolution(q)  # on this thread, before the record and the next step read it
+                recorder.submit(step * dt, q)
+    finally:
+        if recorder is not None:
+            recorder.close()  # a failed record's error replaces a later step's
     return Trajectory(final=q, tail_loss=q0.mass - q.mass)
 
 
@@ -300,11 +373,18 @@ def solve(q0: GridDensity1D, t_final: float, dt: float, snapshot_times=None, obs
 
 
 def save_density(q: GridDensity1D, path: str) -> None:
+    """Write q as x,value CSV rows plus a .json sidecar.
+
+    Rows hold repr() of each float and end in CRLF, as csv.writer wrote
+    them; they are formatted and written _CSV_BLOCK rows at a time.
+    """
+    nodes, values = q.grid.nodes, q.values
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["x", "value"])
-        for x, v in zip(q.grid.nodes, q.values):
-            writer.writerow([repr(float(x)), repr(float(v))])
+        f.write("x,value\r\n")
+        for lo in range(0, nodes.size, _CSV_BLOCK):
+            block = map("{!r},{!r}\r\n".format, nodes[lo : lo + _CSV_BLOCK].tolist(),
+                        values[lo : lo + _CSV_BLOCK].tolist())
+            f.write("".join(block))
     with open(path + ".json", "w") as f:
         json.dump(
             {"x_max": q.grid.x_max, "n_cells": q.grid.n_cells, "m1": q.mean},

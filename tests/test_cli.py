@@ -223,8 +223,12 @@ class TestBadInput:
              "10 replicas of 2 population sizes: 5.5e+08 expected events exceed the limit"),
             (["study", "--study", "chaos", "--replicas", "1000000000000"],
              f"1000000000000 replicas per population size exceed the limit of {ex._MAX_REPLICAS}"),
+            (["study", "--study", "chaos", "--replicas", "10", "--t", "0.01",
+              "--n-list", ",".join(map(str, range(2, ex._MAX_CHAOS_RUNS // 10 + 3)))],
+             f"{ex._MAX_CHAOS_RUNS // 10 + 1} population sizes x 10 replicas = {ex._MAX_CHAOS_RUNS + 10} "
+             f"simulate runs exceed the limit of {ex._MAX_CHAOS_RUNS}"),
         ],
-        ids=["simulate-events", "pde-cell-steps", "chaos-events", "chaos-replicas"],
+        ids=["simulate-events", "pde-cell-steps", "chaos-events", "chaos-replicas", "chaos-runs"],
     )
     def test_work_cap(self, argv, named, tmp_path, capsys, monkeypatch):
         """Work over a cap is refused in under 1 s, before any balance, observer or PDE step."""

@@ -1,11 +1,17 @@
 import math
+import signal
+import sys
+import threading
+import time
+import warnings
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from kinex import kinetic1d
+from kinex import diagnostics, kinetic1d
 from kinex.diagnostics import TrajectoryObserver
 from kinex.errors import ConfigError, DataError, DomainError, StabilityError
 from kinex.kinetic1d import (
@@ -370,6 +376,152 @@ class TestSolve:
     def test_snapshot_window_validated(self, uniform02):
         with pytest.raises(ConfigError):
             solve(uniform02, 1.0, 0.5, snapshot_times=[2.0])
+
+
+@pytest.fixture
+def deadline():
+    """Fails a test still running after 20 s, so a solve that never returns cannot hang the suite."""
+    def hung(signum, frame):
+        raise TimeoutError("the test did not finish within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def sequential_values(q0, n_steps, dt):
+    """The values of every state of a solve, stepped one after the other on this thread."""
+    states = [q0]
+    for _ in range(n_steps):
+        states.append(step_euler(states[-1], dt))
+    return [q.values for q in states]
+
+
+class TestRecordThread:
+    """solve runs each record on one worker thread while it takes the next Euler steps."""
+
+    def test_records_match_a_sequential_run_and_never_overlap(self, uniform02, deadline):
+        n_steps, dt, every = 40, 0.05, 4
+        expected = sequential_values(uniform02, n_steps, dt)
+        rec, spans, threads = Recorder(), [], set()
+
+        def timed(t, q):
+            start = time.perf_counter()
+            threads.add(threading.get_ident())
+            rec(t, q)
+            time.sleep(0.002)  # long enough for the next steps to run beside it
+            spans.append((start, time.perf_counter()))
+
+        solve(uniform02, n_steps * dt, dt, snapshot_times=np.arange(0, n_steps + 1, every) * dt,
+              observers=(timed,))
+        steps = range(0, n_steps + 1, every)
+        assert rec.times == [k * dt for k in steps]
+        assert all(np.array_equal(q.values, expected[k]) for k, q in zip(steps, rec.snapshots))
+        assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+        assert len(threads) == 1 and threading.get_ident() not in threads
+
+    def test_concurrent_solves_see_their_own_states(self, uniform02, deadline):
+        """Four solves at once, switching threads every microsecond: each record holds its sequential state."""
+        n_steps, dt = 20, 0.05
+        expected = sequential_values(uniform02, n_steps, dt)
+        recorders = [Recorder() for _ in range(4)]
+        runs = [threading.Thread(target=solve, args=(uniform02, n_steps * dt, dt),
+                                 kwargs={"snapshot_times": np.arange(n_steps + 1) * dt, "observers": (rec,)})
+                for rec in recorders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for run in runs:
+                run.start()
+            for run in runs:
+                run.join(timeout=15)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(run.is_alive() for run in runs)
+        for rec in recorders:
+            assert len(rec.snapshots) == n_steps + 1
+            assert all(np.array_equal(q.values, values) for q, values in zip(rec.snapshots, expected))
+
+    def test_record_gets_its_state_convolved(self, uniform02, monkeypatch, deadline):
+        """A state that a step follows reaches its record with q*q made, so no two threads convolve it."""
+        step, started, convolved = kinetic1d.step_euler, threading.Semaphore(0), []
+
+        def step_after_record_start(q, dt):  # the step cannot convolve q before its record looks
+            assert started.acquire(timeout=10)
+            return step(q, dt)
+
+        def look(t, q):
+            convolved.append("self_convolution" in q._memo)
+            started.release()
+
+        monkeypatch.setattr(kinetic1d, "step_euler", step_after_record_start)
+        solve(uniform02, 0.5, 0.05, snapshot_times=np.arange(11) * 0.05, observers=(look,))
+        assert convolved == [True] * 10 + [False]  # the last state has no step after it
+
+    @pytest.mark.parametrize("fail_at", [0, 3, 8])
+    def test_record_error_ends_the_solve(self, uniform02, fail_at, deadline):
+        """solve raises a record's error; no later record runs, and the record thread is gone."""
+        class RecordError(Exception):
+            pass
+
+        seen = []
+
+        def failing(t, q):
+            seen.append(t)
+            if len(seen) == fail_at + 1:
+                raise RecordError(t)
+
+        times = [k * 0.25 for k in range(9)]
+        before = threading.active_count()
+        with pytest.raises(RecordError) as err:
+            solve(uniform02, 2.0, 0.05, snapshot_times=times, observers=(failing,))
+        assert err.value.args == (times[fail_at],)
+        assert seen == times[: fail_at + 1]
+        assert threading.active_count() == before
+
+    def test_record_error_beats_a_later_step_error(self, uniform02, monkeypatch, deadline):
+        """The record at t = 0.25 fails after the step that follows it has failed: its error is raised."""
+        class RecordError(Exception):
+            pass
+
+        class StepError(Exception):
+            pass
+
+        step, calls, stepped = kinetic1d.step_euler, [], threading.Event()
+
+        def failing_step(q, dt):
+            calls.append(dt)
+            if len(calls) == 6:  # the step after the record at step 5
+                stepped.set()
+                raise StepError
+            return step(q, dt)
+
+        def failing_record(t, q):
+            if t == 0.25:
+                assert stepped.wait(10), "the next step did not run beside the record"
+                raise RecordError
+
+        monkeypatch.setattr(kinetic1d, "step_euler", failing_step)
+        before = threading.active_count()
+        with pytest.raises(RecordError) as err:
+            solve(uniform02, 1.0, 0.05, snapshot_times=[0.0, 0.25, 0.5], observers=(failing_record,))
+        assert isinstance(err.value.__context__, StepError)
+        assert threading.active_count() == before
+
+    def test_infinite_dissipation_without_catch_warnings(self, uniform02, monkeypatch):
+        """A compact start's t = 0 record holds D = +inf; no record enters the process-wide catch_warnings."""
+        def process_wide(*args, **kwargs):
+            raise AssertionError("warnings.catch_warnings changes the filters of every thread")
+
+        monkeypatch.setattr(diagnostics, "warnings", SimpleNamespace(warn=warnings.warn, catch_warnings=process_wide))
+        observer = TrajectoryObserver()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve(uniform02, 0.5, 0.05, snapshot_times=[0.0, 0.25, 0.5], observers=(observer,))
+        assert [r.D == math.inf for r in observer.records] == [True, False, False]
+        assert not [w for w in caught if "D[q] = +inf" in str(w.message)]
 
 
 def test_density_csv_roundtrip(tmp_path, uniform02):
