@@ -182,6 +182,7 @@ def cmd_simulate(args) -> int:
         snapshot_times=snaps,
         clock_scale=conf["clock_scale"],
     )
+    pt._check_snapshots(conf["n"], len(snaps))  # before the initial state is drawn; simulate checks it too
     initial = pt.make_initial(conf["init"], conf["n"], np.random.SeedSequence(conf["seed"]))
     traj = pt.simulate(config, initial)
 

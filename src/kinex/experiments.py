@@ -9,14 +9,22 @@ manifest records that constant next to the arguments the study takes:
 study. All randomness flows from explicit seeds through numpy SeedSequence
 spawning, so a study re-run with the same arguments reproduces its
 artifacts byte for byte.
+
+The contraction study runs its first coupled particle run in one forked
+child (POSIX fork; see _in_child) while this process runs the second and
+then the PDE route. There is one child whatever the CPU count, both runs
+are seeded, and every artifact is the same to the byte as when the three
+parts run one after another.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import os
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +38,7 @@ from .diagnostics import (
     wasserstein1,
     wasserstein2,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, KinexError
 from .kinetic1d import Equilibrium, Grid1D, GridDensity1D, solve, uniform_density
 
 # ---------------------------------------------------------------------------
@@ -97,6 +105,62 @@ class StudyReport:
             f.write(",".join(self.series_columns) + "\n")
             for row in self.series_rows:
                 f.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+@contextlib.contextmanager
+def _in_child(fn, *args):
+    """Run fn(*args) in one forked child while the with-body runs in this process.
+
+    Yields wait(): it reads the child's pickled outcome from a pipe, reaps
+    the child, and returns fn's result or raises fn's exception, with its
+    type and message. A child that ends without a whole outcome (killed, or
+    with an outcome that does not pickle) is one KinexError. If the body
+    raises before wait() has reaped the child, the child is killed and
+    reaped, so no run leaves a process behind. The child sees this process's state as of the fork, module
+    constants included, and leaves through os._exit: it never returns into
+    the caller's frames, runs no exit handlers and flushes no inherited
+    stdio buffer. Fork on the main thread, before any thread of kinex runs.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, fn(*args))
+            except BaseException as exc:  # sent to the parent, whose wait() raises it
+                outcome = (False, exc)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(outcome))
+            code = 0  # only a child that wrote its whole outcome exits 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    pipe = os.fdopen(read_fd, "rb")
+    reaped = False
+
+    def wait():
+        nonlocal reaped
+        with pipe:
+            data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+        if code != 0:
+            how = f"signal {-code}" if code < 0 else f"exit code {code}"
+            raise KinexError(f"the forked run ended without a result ({how})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield wait
+    finally:
+        pipe.close()
+        if not reaped:
+            os.kill(pid, 9)  # SIGKILL, without importing signal for it
+            os.waitpid(pid, 0)
 
 
 def _sample_from_density(q: GridDensity1D, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -199,24 +263,26 @@ def contraction_study(seed: int = 0) -> StudyReport:
         config = pt.SimConfig(n_agents=coupled_n, t_final=coupled_t, seed=run_seed, snapshot_times=snap)
         return pt.simulate_coupled(config, pairs)
 
-    # coupled pairs: constant start one dollar above the mirror mean
-    series = coupled(coupled_m1 + 1, seed)
+    # coupled pairs: constant start one dollar above the mirror mean, run by one forked child
+    # (before solve starts its record thread) while this process runs the rest
+    with _in_child(coupled, coupled_m1 + 1, seed) as first_series:
+        # envelope proxy needs matched means: restart from the mirror mean
+        series2 = coupled(coupled_m1, seed + 1)
+        proxy = np.sqrt(series2.msd)
+        proxy_env = proxy[0] * np.exp(-series2.times / 6.0)
+        worst_proxy = float(np.max(proxy / proxy_env))
+        report.add_check("coupled_w2_proxy_envelope", worst_proxy <= 1.05, worst_ratio=worst_proxy)
+
+        # after this process's coupled run: memory that solve's record thread frees stays with
+        # that thread's malloc arena, which would otherwise add to the coupled run's peak
+        times, w2s, envelope = _pde_envelope(report)
+        series = first_series()
     decaying = series.decaying_part()
     keep = decaying > 0
     rate, r2, se = exponential_rate(series.times[keep], decaying[keep])
     report.add_rate("coupled_msd_rate", rate, ci=(rate - 2 * se, rate + 2 * se))
     report.add_check("coupled_rate_band", 0.30 <= rate <= 0.36, value=rate, r2=r2)
 
-    # envelope proxy needs matched means: restart from the mirror mean
-    series2 = coupled(coupled_m1, seed + 1)
-    proxy = np.sqrt(series2.msd)
-    proxy_env = proxy[0] * np.exp(-series2.times / 6.0)
-    worst_proxy = float(np.max(proxy / proxy_env))
-    report.add_check("coupled_w2_proxy_envelope", worst_proxy <= 1.05, worst_ratio=worst_proxy)
-
-    # last: memory that solve's record thread frees stays with that thread's malloc arena,
-    # which would otherwise add to the peak of the coupled runs
-    times, w2s, envelope = _pde_envelope(report)
     report.series_columns = ["time", "w2_pde", "envelope", "coupled_msd", "coupled_msd_floor"]
     msd_at = np.interp(times, series.times, series.msd, right=math.nan)
     report.series_rows = [[*row, series.msd_floor] for row in zip(times, w2s, envelope, msd_at)]

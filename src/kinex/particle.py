@@ -36,6 +36,9 @@ _IN_PLACE_AGENTS = 30_000  # see _run
 _MAX_AGENTS = 10**6
 # More expected events (total rate x time) are refused before the first draw; 20x figure1's.
 _MAX_EVENTS = 10**8
+# More kept balances (agents x snapshot times) are refused before the first draw: simulate
+# copies the state at every snapshot, and simulate --write-snapshots writes one row per value
+_MAX_SNAPSHOT_VALUES = 10**7
 
 
 class WealthVector:
@@ -103,6 +106,13 @@ def _check_events(expected: float, what: str) -> None:
     """Refuse work of more than _MAX_EVENTS expected events; what names the work."""
     if expected > _MAX_EVENTS:
         raise ConfigError(f"{what}: {expected:.3g} expected events exceed the limit of {_MAX_EVENTS:.3g} events")
+
+
+def _check_snapshots(n: int, kept: int) -> None:
+    """Refuse kept snapshots of more than _MAX_SNAPSHOT_VALUES balances in all."""
+    if n * kept > _MAX_SNAPSHOT_VALUES:
+        raise ConfigError(f"{n} agents x {kept} snapshot times = {n * kept} kept balances exceed the limit of "
+                          f"{_MAX_SNAPSHOT_VALUES}")
 
 
 def spawn_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
@@ -230,9 +240,11 @@ def simulate(config: SimConfig, initial: WealthVector) -> ParticleTrajectory:
 
     Each snapshot reflects the latest event at or before the requested
     time. Identical config and seed reproduce the event stream bit for bit.
+    More than _MAX_SNAPSHOT_VALUES kept balances are refused up front.
     """
     if initial.n_agents != config.n_agents:
         raise ConfigError(f"initial state has {initial.n_agents} agents, config says {config.n_agents}")
+    _check_snapshots(config.n_agents, len(config.snapshot_times))
     traj = ParticleTrajectory()
     work = initial.balances.copy()
 

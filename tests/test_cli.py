@@ -245,6 +245,52 @@ class TestBadInput:
         assert not out.exists()
         assert named in one_line_error(capsys)
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--n", "100", "--snapshots", "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"], None),
+            (["--n", "100", "--snapshots", "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1"],
+             "100 agents x 11 snapshot times = 1100 kept balances exceed the limit of 1000"),
+            (["--n", "1001"], "1001 agents x 1 snapshot times = 1001 kept balances exceed the limit of 1000"),
+            (["--n", "1001", "--write-snapshots"], "1001 agents x 1 snapshot times"),
+            (["--n", "100", "--snapshots", "0,0.5,1", "--write-snapshots"], None),
+        ],
+        ids=["at-cap", "times-over-cap", "agents-over-cap", "rows-over-cap", "rows-under-cap"],
+    )
+    def test_snapshot_cap(self, argv, named, tmp_path, capsys, monkeypatch):
+        """Agents x kept snapshots over the cap are refused before the initial state is drawn."""
+        monkeypatch.setattr(pt, "_MAX_SNAPSHOT_VALUES", 1000)
+        if named is None:
+            code, out = run(["simulate", "--t", "1", *argv], tmp_path)
+            assert code == 0
+            if "--write-snapshots" in argv:
+                assert len((out / "snapshots.csv").read_text().splitlines()) == 1 + 300
+            return
+        monkeypatch.setattr(pt, "make_initial", lambda *args: pytest.fail("the initial state was drawn"))
+        code, out = run(["simulate", "--t", "1", *argv], tmp_path)
+        assert code == 1
+        assert not out.exists()
+        assert named in one_line_error(capsys)
+
+    def test_snapshot_cap_at_full_size(self, tmp_path, capsys, monkeypatch):
+        """10^6 agents at 11 snapshot times pass the agent and event caps, not the snapshot cap."""
+        monkeypatch.setattr(pt, "make_initial", lambda *args: pytest.fail("the initial state was drawn"))
+        code, out = run(["simulate", "--n", "1000000", "--t", "10", "--snapshots", "0,1,2,3,4,5,6,7,8,9,10"],
+                        tmp_path)
+        assert code == 1
+        assert not out.exists()
+        assert ("1000000 agents x 11 snapshot times = 11000000 kept balances exceed the limit of 10000000"
+                in one_line_error(capsys))
+
+    def test_simulate_checks_the_snapshot_cap(self, monkeypatch):
+        """The library refuses the kept snapshots too, not only the CLI; coupled runs keep none."""
+        monkeypatch.setattr(pt, "_MAX_SNAPSHOT_VALUES", 100)
+        config = pt.SimConfig(n_agents=50, t_final=1.0, snapshot_times=(0.0, 0.5, 1.0))
+        with pytest.raises(pt.ConfigError, match="50 agents x 3 snapshot times"):
+            pt.simulate(config, pt.make_initial("constant:1", 50))
+        pairs = pt.CoupledPairs.build(pt.make_initial("constant:1", 50), 1.0, seed=0)
+        assert pt.simulate_coupled(config, pairs).times.size == 3
+
     def test_negative_seed_in_config_file(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
         conf.write_text("seed = -1\n")
@@ -396,9 +442,10 @@ class TestGoldenArtifacts:
 
     Any change to an artifact's bytes fails here; update a hash only for an
     intended change of output. The pde start has 120 zero cells, so its
-    first record takes the D = +inf branch. figure1 runs at full size. No
-    run reaches BLAS, so each hash holds under every OpenBLAS kernel
-    (TestCrossKernel).
+    first record takes the D = +inf branch. figure1 and contraction run at
+    full size; contraction's first coupled run goes through its forked
+    child. No run reaches BLAS, so each hash holds under every OpenBLAS
+    kernel (TestCrossKernel).
     """
 
     CASES = {
@@ -435,6 +482,14 @@ class TestGoldenArtifacts:
                 "series.csv": "82d79f542ab8406af9aa1b1503af9a0a27672be29dd6e3d1bb83689097a43c24",
             },
         ),
+        "contraction": (
+            ["study", "--study", "contraction", "--seed", "0"],
+            {
+                "manifest.json": "b75e09093f8373f2b337041ef20fdfeeda5e448f186189df1128a194e3d37604",
+                "report.json": "f1e2b11b82a42a4dc600b89f4a7ffcdc86e5f7bf8d1c485b96bdd0dc5cafafe0",
+                "series.csv": "a70b579c8bf83a9fa093aa446fce39d33b2deaecad7ba7916abe7d2c996a39e1",
+            },
+        ),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -447,7 +502,7 @@ class TestGoldenArtifacts:
 
 
 class TestCrossKernel:
-    """The golden runs and a small contraction write the same bytes under every OpenBLAS kernel.
+    """The golden runs, contraction made small, write the same bytes under every OpenBLAS kernel.
 
     OPENBLAS_CORETYPE forces the kernel of one process, and each kernel sums
     a dot product in its own order, so an artifact path that reaches BLAS
@@ -458,10 +513,7 @@ class TestCrossKernel:
     MAIN = ("import sys; from kinex import cli, experiments; "
             "experiments.CONTRACTION.update(t_final=2.0, coupled_n=2000, coupled_t=2.0); "
             "sys.exit(cli.main(sys.argv[1:]))")
-    CASES = {
-        **{name: argv for name, (argv, _) in TestGoldenArtifacts.CASES.items()},
-        "contraction": ["study", "--study", "contraction"],
-    }
+    CASES = {name: argv for name, (argv, _) in TestGoldenArtifacts.CASES.items()}
 
     @pytest.mark.skipif("openblas" not in numpy_blas(), reason="numpy's BLAS is not OpenBLAS")
     @pytest.mark.parametrize("case", list(CASES))

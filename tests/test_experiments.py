@@ -1,12 +1,19 @@
+import contextlib
 import json
 import math
+import os
+import signal
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from kinex import experiments as ex
-from kinex.errors import ConfigError, DataError
+from kinex import particle as pt
+from kinex.cli import main
+from kinex.errors import ConfigError, DataError, KinexError
 from kinex.kinetic1d import Equilibrium, Grid1D
 
 from conftest import Recorder
@@ -96,6 +103,119 @@ class TestContractionStudy:
         report = ex.contraction_study(seed=1)
         assert report.passed, report.checks
         assert 0.30 <= report.rates["coupled_msd_rate"]["value"] <= 0.36
+
+
+# the contraction PDE stays on its M = 2000 grid, for 100 steps instead of 1000
+SMALL_CONTRACTION = {"t_final": 2.0, "coupled_n": 2000, "coupled_t": 2.0}
+
+
+class TestForkedCoupledRun:
+    """contraction_study's first coupled run goes to one forked child (experiments._in_child)."""
+
+    @pytest.fixture(autouse=True)
+    def small_and_no_child_left(self, monkeypatch):
+        for key, value in SMALL_CONTRACTION.items():
+            monkeypatch.setitem(ex.CONTRACTION, key, value)
+        yield
+        with pytest.raises(ChildProcessError):  # no zombie, and no child still running
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def in_child_only(monkeypatch, action):
+        """Make the child's simulate_coupled call action(); this process's call runs as before."""
+        parent, real = os.getpid(), pt.simulate_coupled
+
+        def patched(config, pairs):
+            return real(config, pairs) if os.getpid() == parent else action()
+
+        monkeypatch.setattr(pt, "simulate_coupled", patched)
+
+    @pytest.mark.parametrize("error", [DataError, ConfigError])
+    def test_child_error_reraised(self, error, monkeypatch):
+        def fail():
+            raise error("drift 1e-3 in the child")
+
+        self.in_child_only(monkeypatch, fail)
+        with pytest.raises(error) as info:
+            ex.contraction_study(seed=0)
+        assert type(info.value) is error and str(info.value) == "drift 1e-3 in the child"
+
+    def test_parent_error_kills_and_reaps_the_child(self, monkeypatch):
+        def pde_fails(report):
+            raise DataError("the PDE route failed")
+
+        forks = self.record_forks(monkeypatch)
+        self.in_child_only(monkeypatch, lambda: time.sleep(60))
+        monkeypatch.setattr(ex, "_pde_envelope", pde_fails)
+        start = time.perf_counter()
+        with pytest.raises(DataError, match="the PDE route failed"):
+            ex.contraction_study(seed=0)
+        assert time.perf_counter() - start < 30
+        assert len(forks) == 1
+        with pytest.raises(ProcessLookupError):
+            os.kill(forks[0], 0)
+
+    def test_killed_child_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        self.in_child_only(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        code = main(["study", "--study", "contraction", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "kinex: error: the forked run ended without a result (signal 9)\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_helper_passes_result_and_exception(self):
+        with ex._in_child(divmod, 7, 2) as wait:
+            assert wait() == (3, 1)
+        with pytest.raises(ZeroDivisionError):
+            with ex._in_child(divmod, 7, 0) as wait:
+                wait()
+        with pytest.raises(KinexError, match=r"^the forked run ended without a result \(exit code 1\)$"):
+            with ex._in_child(threading.Lock) as wait:  # a lock does not pickle
+                wait()
+
+    @staticmethod
+    def record_forks(monkeypatch) -> list:
+        """The pid of every child os.fork makes from now on."""
+        forks, real_fork = [], os.fork
+
+        def recording_fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        return forks
+
+    def test_one_fork_whatever_the_cpu_count(self, tmp_path, monkeypatch):
+        artifacts = {}
+        for cpus in (1, 64):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            forks = self.record_forks(monkeypatch)
+            out = tmp_path / f"cpus{cpus}"
+            main(["study", "--study", "contraction", "--out", str(out)])
+            assert len(forks) == 1
+            artifacts[cpus] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert artifacts[1] == artifacts[64] and len(artifacts[1]) == 3
+
+    def test_child_sees_patched_constant(self, monkeypatch):
+        """The forked study reports what the same study run in one process reports."""
+        monkeypatch.setitem(ex.CONTRACTION, "coupled_t", 1.0)
+        forked = ex.contraction_study(seed=2)
+
+        @contextlib.contextmanager
+        def in_process(fn, *args):
+            result = fn(*args)
+            yield lambda: result
+
+        monkeypatch.setattr(ex, "_in_child", in_process)
+        sequential = ex.contraction_study(seed=2)
+        assert forked.checks == sequential.checks
+        assert forked.rates == sequential.rates
+        np.testing.assert_array_equal(forked.series_rows, sequential.series_rows)  # NaN equals NaN here
+        # the child ran to the patched coupled_t = 1: the PDE times 1.5 and 2 have no msd
+        msd = np.array([row[3] for row in forked.series_rows])
+        assert np.isfinite(msd[:3]).all() and np.isnan(msd[3:]).all() and msd.size == 5
 
 
 class TestChaosScaling:
