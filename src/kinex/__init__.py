@@ -8,7 +8,7 @@ the pair-density solver are test oracles in tests/oracles/.
 """
 
 from .errors import ConfigError, DataError, DomainError, KinexError, StabilityError
-from .kinetic1d import Equilibrium, Grid1D, GridDensity1D, gain, rhs, solve, step_euler
+from .kinetic1d import Equilibrium, Grid1D, GridDensity1D, gain, solve, step_euler
 
 __version__ = "0.1.0"
 
@@ -22,7 +22,6 @@ __all__ = [
     "KinexError",
     "StabilityError",
     "gain",
-    "rhs",
     "solve",
     "step_euler",
     "__version__",

@@ -116,6 +116,16 @@ def _int_at_least(low: int):
     return convert
 
 
+def _population_sizes(raw) -> tuple:
+    """Chaos population sizes: strictly increasing, and at least two, since the study fits a slope."""
+    sizes = _parse_values(raw, int, "population size")
+    if len(sizes) < 2:
+        raise ValueError("need at least two population sizes to fit a slope")
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("population sizes must be strictly increasing")
+    return sizes
+
+
 def _one_of(*names):
     """A converter that accepts only names; its metavar is the one argparse gives choices."""
     def convert(raw):
@@ -151,9 +161,8 @@ PDE_SCHEMA = {
 
 STUDY_SCHEMA = {
     "seed": (0, _int_at_least(0), "base seed"),
-    "n_list": (None, partial(_parse_values, convert=int, what="population size"),
-               "population sizes for the chaos study"),
-    "replicas": (None, int, "replicas per population size"),
+    "n_list": (None, _population_sizes, "population sizes for the chaos study"),
+    "replicas": (None, _int_at_least(10), "replicas per population size"),
     "t": (None, _positive_float, "evaluation time for the chaos study"),
 }
 # STUDY_SCHEMA keys that only the chaos study reads -> chaos_scaling arguments
@@ -248,10 +257,10 @@ def cmd_pde(args) -> int:
         raise KinexError(f"snapshot_every={every!r} is below dt={dt!r}; solve records at most once per Euler step")
     observer = TrajectoryObserver()
     snap_times = np.arange(0.0, conf["t"] + 1e-9, every)
-    traj = solve(q0, conf["t"], dt, snapshot_times=snap_times, observers=(observer,))
+    final = solve(q0, conf["t"], dt, snapshot_times=snap_times, observers=(observer,))
     os.makedirs(out, exist_ok=True)
     write_records_csv(observer.records, os.path.join(out, "diagnostics.csv"))
-    save_density(traj.final, os.path.join(out, "final_density.csv"))
+    save_density(final, os.path.join(out, "final_density.csv"))
     manifest = {"command": "pde", **conf, "x_max": x_max, **provenance}
     ex.write_manifest(out, manifest, manifest, {"n_steps": n_steps})
     print(f"pde: {len(observer.records)} snapshots, outputs in {out}")

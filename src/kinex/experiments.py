@@ -14,7 +14,7 @@ The contraction study runs its first coupled particle run in one forked
 child (POSIX fork; see _in_child) while this process runs the second and
 then the PDE route. There is one child whatever the CPU count, both runs
 are seeded, and every artifact is the same to the byte as when the three
-parts run one after another.
+parts run one after another, which is what happens where os has no fork.
 """
 
 from __future__ import annotations
@@ -116,11 +116,18 @@ def _in_child(fn, *args):
     type and message. A child that ends without a whole outcome (killed, or
     with an outcome that does not pickle) is one KinexError. If the body
     raises before wait() has reaped the child, the child is killed and
-    reaped, so no run leaves a process behind. The child sees this process's state as of the fork, module
-    constants included, and leaves through os._exit: it never returns into
-    the caller's frames, runs no exit handlers and flushes no inherited
-    stdio buffer. Fork on the main thread, before any thread of kinex runs.
+    reaped, so no run leaves a process behind. The child sees this
+    process's state as of the fork, module constants included, and leaves
+    through os._exit: it never returns into the caller's frames, runs no
+    exit handlers and flushes no inherited stdio buffer. Fork on the main
+    thread, before any thread of kinex runs.
+
+    Where os has no fork, wait() runs fn(*args) in this process: the
+    forked parts are seeded, so they return the same values either way.
     """
+    if not hasattr(os, "fork"):
+        yield lambda: fn(*args)
+        return
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -335,7 +342,7 @@ def chaos_scaling(
     q0 = Equilibrium(1.0).on_grid(Grid1D.from_spacing(_CHAOS_X_MAX, CHAOS["dx"])).normalized()
     report = StudyReport("chaos", {"seed": seed, "n_list": list(n_list), "replicas": replicas, "t_eval": t_eval,
                                    **CHAOS, "q0_mean": q0.mean})
-    q_t = solve(q0, t_eval, CHAOS["dt"]).final.normalized()
+    q_t = solve(q0, t_eval, CHAOS["dt"]).normalized()
     if abs(q_t.mean - q0.mean) > 1e-3:
         raise DataError(f"PDE mean drifted {q_t.mean - q0.mean:.2e}; check the grid")
     q0n = q0.normalized()
@@ -438,7 +445,7 @@ def entropy_decay_study(seed: int = 42) -> StudyReport:
         times.append(t)
         entropy.append(relative_entropy(q, equilibrium))
 
-    traj = solve(q0, t_final, dt, snapshot_times=np.arange(0.0, t_final + 1e-9, dt), observers=(record,))
+    final = solve(q0, t_final, dt, snapshot_times=np.arange(0.0, t_final + 1e-9, dt), observers=(record,))
     times, entropy = np.array(times), np.array(entropy)
     dissipations = np.full(times.size, math.nan)
     dissipations[::stride] = [r.D for r in observer.records]
@@ -457,8 +464,8 @@ def entropy_decay_study(seed: int = 42) -> StudyReport:
         theta_hat=study.theta_hat,
         dropped_pairs=study.n_dropped,
     )
-    mass_drift = abs(traj.final.mass - q0.mass)
-    mean_drift = abs(traj.final.mean - q0.mean)
+    mass_drift = abs(final.mass - q0.mass)
+    mean_drift = abs(final.mean - q0.mean)
     report.add_check("conservation_budget", mass_drift < 1e-6 and mean_drift < 1e-4,
                      mass_drift=mass_drift, mean_drift=mean_drift)
 

@@ -16,7 +16,7 @@ numpy version. Nothing is cached at module level: a density keeps its q*q
 in its own memo, so a record's D[q] and the next Euler step share one FFT.
 
 Mass escaping beyond x_max is dropped, not renormalized, so conservation
-stays an honest diagnostic (see Trajectory.tail_loss).
+stays an honest diagnostic (see TrajectoryObserver's tail_mass).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import csv
 import json
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,24 +191,21 @@ def self_convolution(q: GridDensity1D) -> np.ndarray:
     return c
 
 
-def gain(q: GridDensity1D) -> GridDensity1D:
-    """Collision gain Q+[q]: law of U*(X+Y) for X, Y iid q, U ~ Uniform[0,1].
+def gain(q: GridDensity1D) -> np.ndarray:
+    """Grid values of the collision gain Q+[q]: law of U*(X+Y) for X, Y iid q, U ~ Uniform[0,1].
 
-    Computed as the tail integral over m of c(m)/m with c the discrete
-    self-convolution; output mass equals mass(q)^2 up to the truncation
-    tail beyond x_max. The result is nonincreasing in x by construction.
+    The tail integral over m of c(m)/m, c = q*q; its mass is mass(q)^2 up
+    to the tail past x_max. The values are nonincreasing and >= 0 by
+    construction, not by a check: a reversed cumsum of shells clamped at 0.
+    A non-finite value makes step_euler's new state non-finite, which
+    GridDensity1D refuses.
     """
     if not 0.9 <= q.mass <= 1.1:
         raise DomainError(f"gain expects a (near-)probability density, mass={q.mass}")
     c = self_convolution(q)
     shells = c / np.arange(1, c.size + 1)  # c(m)/m * dx at m = (k+1) dx
     tail = np.cumsum(shells[::-1])[::-1]
-    return GridDensity1D(q.grid, tail[: q.grid.n_cells])
-
-
-def rhs(q: GridDensity1D) -> np.ndarray:
-    """Right-hand side G[q] = Q+[q] - q as a signed grid function."""
-    return gain(q).values - q.values
+    return tail[: q.grid.n_cells].copy()  # a view would keep the whole 2M - 1 cumsum alive
 
 
 def _check_dt(dt: float) -> None:
@@ -241,23 +237,16 @@ def step_euler(q: GridDensity1D, dt: float) -> GridDensity1D:
     dt must lie in (0, 1]; the loss term has unit rate and dt > 1 makes the
     update a non-convex combination that can go negative.
 
-    For 0 < dt <= 1 the step cannot go negative, even after rounding.
-    Per cell q >= 0 and g = Q+[q] >= 0, so g - q >= -q exactly; rounding
-    is monotone and -q is representable, so fl(g - q) >= -q. With dt <= 1,
-    dt * fl(g - q) lies between fl(g - q) and 0, so by the same argument
-    fl(dt * fl(g - q)) >= -q. Hence q + fl(dt * fl(g - q)) >= 0, before
-    and after rounding, and no clipping is needed.
+    For 0 < dt <= 1 the step cannot go negative, even after rounding. Per
+    cell q >= 0 and g = Q+[q] >= 0, by construction and not by a check
+    (see gain), so g - q >= -q exactly; rounding is monotone and -q is
+    representable, so fl(g - q) >= -q. With dt <= 1, dt * fl(g - q) lies
+    between fl(g - q) and 0, so by the same argument fl(dt * fl(g - q))
+    >= -q. Hence q + fl(dt * fl(g - q)) >= 0, before and after rounding,
+    and no clipping is needed.
     """
     _check_dt(dt)
-    return GridDensity1D(q.grid, q.values + dt * rhs(q))
-
-
-@dataclass
-class Trajectory:
-    """Result of solve(): the last state and the mass lost past x_max."""
-
-    final: GridDensity1D
-    tail_loss: float  # cumulative mass lost past x_max
+    return GridDensity1D(q.grid, q.values + dt * (gain(q) - q.values))
 
 
 class _RecordThread:
@@ -313,8 +302,8 @@ class _RecordThread:
             self._thread.join()
 
 
-def solve(q0: GridDensity1D, t_final: float, dt: float, snapshot_times=None, observers=()) -> Trajectory:
-    """Integrate dq/dt = Q+[q] - q with forward Euler from q0 to t_final.
+def solve(q0: GridDensity1D, t_final: float, dt: float, snapshot_times=None, observers=()) -> GridDensity1D:
+    """Integrate dq/dt = Q+[q] - q with forward Euler from q0; return the state at t_final.
 
     Each observer(t, q) sees the state at the last step time <= each
     snapshot time (default: t = 0 and t_final). solve keeps no state but
@@ -340,7 +329,7 @@ def solve(q0: GridDensity1D, t_final: float, dt: float, snapshot_times=None, obs
     same amplification acts on the truncation leak (~exp(-x_max/m1) per
     unit time once the tail is populated), which bounds usable horizons at
     roughly t < x_max/m1 - log(1/tolerance). Mass is deliberately never
-    renormalized mid-run; the drift is reported on the trajectory.
+    renormalized mid-run; TrajectoryObserver reports the loss as tail_mass.
     """
     n_steps = _step_count(t_final, dt, q0.grid.n_cells)
     if snapshot_times is None:
@@ -364,7 +353,7 @@ def solve(q0: GridDensity1D, t_final: float, dt: float, snapshot_times=None, obs
     finally:
         if recorder is not None:
             recorder.close()  # a failed record's error replaces a later step's
-    return Trajectory(final=q, tail_loss=q0.mass - q.mass)
+    return q
 
 
 # ---------------------------------------------------------------------------

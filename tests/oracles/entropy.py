@@ -39,7 +39,7 @@ class DerivedDensities:
 
 
 def derived_densities(q: GridDensity1D) -> DerivedDensities:
-    h = gain(q)
+    h = GridDensity1D(q.grid, gain(q))
     m = np.concatenate((np.cumsum(h.values[::-1])[::-1], [0.0])) * q.grid.dx
     return DerivedDensities(h, m)
 

@@ -52,7 +52,7 @@ def test_criterion_01_equilibrium_fixed_point():
     for dx in (0.005, 0.0025):
         grid = Grid1D.from_spacing(20.0, dx)
         q = Equilibrium(1.0).on_grid(grid)
-        residuals[dx] = float(np.max(np.abs(gain(q).values - q.values)))
+        residuals[dx] = float(np.max(np.abs(gain(q) - q.values)))
     assert residuals[0.005] <= 5 * 0.005
     assert residuals[0.005] / residuals[0.0025] >= 1.8
     report(1, f"gain fixed point residual {residuals[0.005]:.2e} <= 5dx, refinement x{residuals[0.005]/residuals[0.0025]:.2f}", budget.check("c1"))
@@ -275,7 +275,7 @@ def test_criterion_12_property_suites():
     worst_g = 0.0
     for snap in rec.snapshots:
         worst_g = max(worst_g, dg.laplace_check(snap, 0.6, 1.0))
-        h = gain(snap).values
+        h = gain(snap)
         assert np.all(np.diff(h) <= 1e-15)
     assert worst_g <= 1.0 + 5e-3
     report(12, f"10^3 entropy sandwiches ordered; sup G = {worst_g:.5f} <= 1.005; h monotone at every snapshot", budget.check("c12"))

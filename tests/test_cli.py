@@ -156,8 +156,10 @@ class TestBadInput:
             (["pde", "--dx", "0.05", "--t", "1", "--init", "uniform:0,0.125"], 1,
              "[0.0, 0.125] are not cell edges of dx=0.05"),
             (["study", "--study", "figure1", "--t", "5"], 1, "figure1 takes no t"),
-            (["study", "--study", "chaos", "--n-list", "100", "--replicas", "10", "--t", "0.5"], 1,
+            (["study", "--study", "chaos", "--n-list", "100", "--replicas", "10", "--t", "0.5"], 2,
              "two population sizes"),
+            (["study", "--study", "chaos", "--n-list", "200,100", "--replicas", "10"], 2, "strictly increasing"),
+            (["study", "--study", "chaos", "--replicas", "5"], 2, "replicas='5': need an integer >= 10"),
             (["pde", "--m1", "1e300", "--t", "1"], 1, "2e+303 cells exceeds the limit of 4194304"),
             (["pde", "--dx", "0.05", "--t", "1", "--snapshot-every", "1e-300"], 1,
              "snapshot_every=1e-300 is below dt=0.05"),
@@ -167,7 +169,8 @@ class TestBadInput:
             "n-list-token", "uniform-token", "snapshot-every-zero", "snapshot-every-negative",
             "dt-nan", "t-nan", "dx-zero", "t-below-half-step", "t-below-step",
             "simulate-seed-negative", "study-seed-negative", "pde-random-seed-negative",
-            "truncation-leak", "start-mass", "study-chaos-only-flag", "chaos-one-size", "grid-too-large",
+            "truncation-leak", "start-mass", "study-chaos-only-flag", "chaos-one-size",
+            "chaos-sizes-not-increasing", "chaos-replicas-below-ten", "grid-too-large",
             "snapshot-every-below-dt",
         ],
     )

@@ -152,7 +152,7 @@ class TestPhiWeightedBound:
         lhs, rhs = phi_weighted_entropy_bound(q, phi)
         assert lhs <= rhs + 1e-9
         # H with phi = 1 is the gain h up to the clipped corner diagonals
-        h = gain(q).values
+        h = gain(q)
         dd = derived_densities(q)
         assert np.max(np.abs(dd.h.values - h)) == 0.0
 
@@ -168,7 +168,7 @@ class TestPhiWeightedBound:
         from kinex.kinetic1d import solve, uniform_density
 
         grid = Grid1D.from_spacing(20.0, 0.02)
-        q = solve(uniform_density(grid, 0.0, 2.0), 1.0, 0.01).final.normalized()
+        q = solve(uniform_density(grid, 0.0, 2.0), 1.0, 0.01).normalized()
         g, _ = diagonal_average(q)
         i = np.arange(grid.n_cells)
         H = g[i[:, None] + i[None, :]] @ (grid.nodes * grid.dx)

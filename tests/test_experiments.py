@@ -1,4 +1,3 @@
-import contextlib
 import json
 import math
 import os
@@ -198,17 +197,22 @@ class TestForkedCoupledRun:
             artifacts[cpus] = {p.name: p.read_bytes() for p in out.iterdir()}
         assert artifacts[1] == artifacts[64] and len(artifacts[1]) == 3
 
+    def test_same_bytes_without_fork(self, tmp_path, monkeypatch):
+        """Where os has no fork, the first coupled run runs in this process and writes the same bytes."""
+        runs = {}
+        for how in ("forked", "in_process"):
+            if how == "in_process":
+                monkeypatch.delattr(os, "fork")
+            out = tmp_path / how
+            code = main(["study", "--study", "contraction", "--out", str(out)])
+            runs[how] = code, {p.name: p.read_bytes() for p in out.iterdir()}
+        assert runs["forked"] == runs["in_process"] and len(runs["forked"][1]) == 3
+
     def test_child_sees_patched_constant(self, monkeypatch):
         """The forked study reports what the same study run in one process reports."""
         monkeypatch.setitem(ex.CONTRACTION, "coupled_t", 1.0)
         forked = ex.contraction_study(seed=2)
-
-        @contextlib.contextmanager
-        def in_process(fn, *args):
-            result = fn(*args)
-            yield lambda: result
-
-        monkeypatch.setattr(ex, "_in_child", in_process)
+        monkeypatch.delattr(os, "fork")
         sequential = ex.contraction_study(seed=2)
         assert forked.checks == sequential.checks
         assert forked.rates == sequential.rates

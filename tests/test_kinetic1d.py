@@ -20,7 +20,6 @@ from kinex.kinetic1d import (
     GridDensity1D,
     gain,
     load_density,
-    rhs,
     save_density,
     self_convolution,
     solve,
@@ -89,7 +88,7 @@ class TestGain:
     def test_equilibrium_fixed_point(self):
         grid = Grid1D.from_spacing(20.0, 0.005)
         q = Equilibrium(1.0).on_grid(grid)
-        residual = np.max(np.abs(gain(q).values - q.values))
+        residual = np.max(np.abs(gain(q) - q.values))
         assert residual <= 5 * grid.dx
 
     def test_equilibrium_against_quadrature_oracle(self, grid_coarse):
@@ -98,7 +97,7 @@ class TestGain:
         for idx in np.linspace(5, grid_coarse.n_cells - 40, 10, dtype=int):
             x = grid_coarse.nodes[idx]
             oracle = gain_quadrature_oracle(lambda z: math.exp(-z), x)
-            assert abs(g.values[idx] - oracle) < 5e-4
+            assert abs(g[idx] - oracle) < 5e-4
 
     def test_uniform_analytic_values(self, grid_fine, uniform02):
         # piecewise closed form: ln2 - x/4 on [0,2], ln(4/x) + (x-4)/4 on [2,4]
@@ -106,9 +105,9 @@ class TestGain:
         x = grid_fine.nodes
         inner = x < 2.0
         outer = (x > 2.0) & (x < 4.0)
-        assert abs(g.values[0] - (math.log(2.0) - x[0] / 4)) < 1e-4
-        assert np.max(np.abs(g.values[inner] - (np.log(2.0) - x[inner] / 4))) < 1e-3
-        assert np.max(np.abs(g.values[outer] - (np.log(4 / x[outer]) + (x[outer] - 4) / 4))) < 1e-3
+        assert abs(g[0] - (math.log(2.0) - x[0] / 4)) < 1e-4
+        assert np.max(np.abs(g[inner] - (np.log(2.0) - x[inner] / 4))) < 1e-3
+        assert np.max(np.abs(g[outer] - (np.log(4 / x[outer]) + (x[outer] - 4) / 4))) < 1e-3
 
     def test_uniform_quadrature_oracle(self):
         grid = Grid1D.from_spacing(20.0, 0.02)
@@ -121,7 +120,7 @@ class TestGain:
         for x_target in (0.5, 1.7, 3.1):
             idx = int(x_target / grid.dx)
             oracle = gain_quadrature_oracle(u02, grid.nodes[idx])
-            assert abs(g.values[idx] - oracle) < 1e-3
+            assert abs(g[idx] - oracle) < 1e-3
 
     def test_spike_becomes_uniform(self):
         grid = Grid1D.from_spacing(8.0, 0.01)
@@ -129,19 +128,20 @@ class TestGain:
         a = q.mean
         g = gain(q)
         inside = grid.nodes < 2 * a
-        assert np.max(np.abs(g.values[inside] - 1.0 / (2 * a))) < 1e-12
-        assert np.all(g.values[grid.nodes > 2 * a + grid.dx] == 0.0)
+        assert np.max(np.abs(g[inside] - 1.0 / (2 * a))) < 1e-12
+        assert np.all(g[grid.nodes > 2 * a + grid.dx] == 0.0)
 
     def test_mass_is_squared(self, grid_fine):
         q = compact_random_density(grid_fine, seed=3)
         sub = GridDensity1D(grid_fine, 0.95 * q.values)  # sub-probability, inside the mass gate
-        assert abs(gain(sub).mass - sub.mass**2) < 1e-12
+        assert abs(gain(sub).sum() * grid_fine.dx - sub.mass**2) < 1e-12
 
     def test_monotone_nonincreasing(self, grid_fine):
         for seed in range(5):
             q = compact_random_density(grid_fine, seed)
             g = gain(q)
-            assert np.all(np.diff(g.values) <= 1e-15)
+            assert np.all(np.diff(g) <= 1e-15)
+            assert np.all(g >= 0) and np.all(np.isfinite(g))
 
     def test_rejects_wild_mass(self, grid_fine, exp1):
         with pytest.raises(DomainError):
@@ -182,7 +182,7 @@ class TestGain:
         for dx in (0.01, 0.005):
             grid = Grid1D.from_spacing(20.0, dx)
             q = Equilibrium(1.0).on_grid(grid)
-            residuals.append(np.max(np.abs(gain(q).values - q.values)))
+            residuals.append(np.max(np.abs(gain(q) - q.values)))
         assert residuals[0] / residuals[1] >= 1.8
 
 
@@ -239,11 +239,11 @@ class TestConvolutionCache:
 class TestRhs:
     def test_equilibrium_residual_small(self, grid_coarse):
         q = Equilibrium(1.0).on_grid(grid_coarse)
-        assert np.max(np.abs(rhs(q))) <= 5 * grid_coarse.dx
+        assert np.max(np.abs(gain(q) - q.values)) <= 5 * grid_coarse.dx
 
     def test_integrals_vanish(self, grid_fine):
         q = compact_random_density(grid_fine, seed=11)
-        r = rhs(q)
+        r = gain(q) - q.values
         dx = grid_fine.dx
         assert abs(np.sum(r) * dx) < 1e-12  # mass conservation
         assert abs(np.sum(grid_fine.nodes * r) * dx) < 1e-12  # mean conservation
@@ -280,7 +280,20 @@ class TestStepEuler:
             values[rng.integers(grid.n_cells)] = 1.0
             q = GridDensity1D(grid, values).normalized()
             for dt in (*dts, rng.random()):
-                assert (q.values + dt * rhs(q)).min() >= 0.0
+                assert (q.values + dt * (gain(q) - q.values)).min() >= 0.0
+
+    def test_builds_one_density(self, uniform02, monkeypatch):
+        """The gain is grid values; the new state is the step's only density."""
+        made = []
+        init = GridDensity1D.__init__
+        monkeypatch.setattr(GridDensity1D, "__init__", lambda self, *args: made.append(1) or init(self, *args))
+        step_euler(uniform02, 0.1)
+        assert len(made) == 1
+
+    def test_non_finite_gain_refused_by_the_new_state(self, uniform02, monkeypatch):
+        monkeypatch.setattr(kinetic1d, "_fft_square", lambda v: np.full(2 * v.size - 1, np.inf))
+        with pytest.raises(DataError, match="density values must be finite"):
+            step_euler(uniform02, 0.1)
 
     def test_never_negative_along_solve(self, uniform02):
         rec = Recorder()
@@ -311,8 +324,8 @@ class TestSolve:
         # to the truncation leak, which the quadratic mass flow amplifies
         # like e^t: short horizons are near-exact, t = 10 stays small
         q0 = exp1.normalized()
-        assert np.max(np.abs(solve(q0, 2.0, 0.05).final.values - q0.values)) < 1e-8
-        assert np.max(np.abs(solve(q0, 10.0, 0.05).final.values - q0.values)) < 1e-4
+        assert np.max(np.abs(solve(q0, 2.0, 0.05).values - q0.values)) < 1e-8
+        assert np.max(np.abs(solve(q0, 10.0, 0.05).values - q0.values)) < 1e-4
 
     def test_uniform_relaxes_to_equilibrium(self):
         from kinex.diagnostics import wasserstein1
@@ -322,8 +335,8 @@ class TestSolve:
         grid = Grid1D.from_spacing(40.0, 0.01)
         q0 = uniform_density(grid, 0.0, 2.0)
         eq = Equilibrium(1.0).on_grid(grid).normalized()
-        traj = solve(q0, 30.0, 0.05)
-        assert wasserstein1(traj.final.normalized(), eq) < 1e-2
+        final = solve(q0, 30.0, 0.05)
+        assert wasserstein1(final.normalized(), eq) < 1e-2
 
     def test_m2_matches_closed_form(self, uniform02):
         times = np.arange(0.0, 10.5, 1.0)
@@ -334,9 +347,9 @@ class TestSolve:
         assert np.max(np.abs(m2 - expected) / expected) < 0.01
 
     def test_conservation_budgets(self, uniform02):
-        traj = solve(uniform02, 10.0, 0.05)
-        assert abs(traj.final.mass - uniform02.mass) < 1e-6
-        assert abs(traj.final.mean - uniform02.mean) < 1e-4
+        final = solve(uniform02, 10.0, 0.05)
+        assert abs(final.mass - uniform02.mass) < 1e-6
+        assert abs(final.mean - uniform02.mean) < 1e-4
 
     def test_snapshots_never_alias_live_state(self, uniform02):
         # densities are immutable, so a recorded snapshot can never change
@@ -367,11 +380,11 @@ class TestSolve:
             if abs(t - 0.5) < 1e-9:
                 kept.append(q)
 
-        traj = solve(uniform02, 1.0, 0.05, snapshot_times=np.arange(0.0, 1.01, 0.25),
-                     observers=(observer, keep_mid))
-        assert len(made) > 40  # each of the 20 steps makes its gain and its new state
+        final = solve(uniform02, 1.0, 0.05, snapshot_times=np.arange(0.0, 1.01, 0.25),
+                      observers=(observer, keep_mid))
+        assert len(made) == 20 + 2  # one new state per step; the observer's equilibrium, then normalized
         alive = {id(q) for q in (ref() for ref in made) if q is not None}
-        assert alive == {id(traj.final), id(kept[0]), id(observer._eq)}
+        assert alive == {id(final), id(kept[0]), id(observer._eq)}
 
     def test_snapshot_window_validated(self, uniform02):
         with pytest.raises(ConfigError):

@@ -195,7 +195,7 @@ class TestProjection:
     def test_residue_warning_on_coarse_grid(self):
         grid = Grid1D.from_spacing(20.0, 0.01)
         q0 = uniform_density(grid, 0.0, 2.0)
-        qt = solve(q0, 5.0, 0.05).final.normalized()
+        qt = solve(q0, 5.0, 0.05).normalized()
         with pytest.warns(UserWarning, match="conserved-mode residue"):
             spec = sp.project_perturbation(qt)
         assert spec.coefficients[0] == 0.0 and spec.coefficients[1] == 0.0
