@@ -10,11 +10,14 @@ study. All randomness flows from explicit seeds through numpy SeedSequence
 spawning, so a study re-run with the same arguments reproduces its
 artifacts byte for byte.
 
-The contraction study runs its first coupled particle run in one forked
-child (POSIX fork; see _in_child) while this process runs the second and
-then the PDE route. There is one child whatever the CPU count, both runs
-are seeded, and every artifact is the same to the byte as when the three
-parts run one after another, which is what happens where os has no fork.
+Two studies fork one child each (POSIX fork; see _in_child). The
+contraction study runs its first coupled particle run in the child while
+this process runs the second and then the PDE route. The chaos study,
+after its PDE solve, runs every second replica in the child and the rest
+in this process, and puts the results back in replica order before any
+sum. There is one child whatever the CPU count, every forked part is
+seeded, and every artifact is the same to the byte as when the parts run
+one after another, which is what happens where os has no fork.
 """
 
 from __future__ import annotations
@@ -120,7 +123,15 @@ def _in_child(fn, *args):
     process's state as of the fork, module constants included, and leaves
     through os._exit: it never returns into the caller's frames, runs no
     exit handlers and flushes no inherited stdio buffer. Fork on the main
-    thread, before any thread of kinex runs.
+    thread, before any thread of kinex runs. Its users are the contraction
+    study (its first coupled run) and the chaos study (every second
+    replica).
+
+    wait() reads to the end of the pipe with no time bound, so a child that
+    hangs hangs this process too; a timeout would make a run's outcome
+    depend on the host. The child inherits only the forking thread, and a
+    lock that another thread held at the fork stays held in the child. So
+    fn must never call BLAS, import a module, log, or start a thread.
 
     Where os has no fork, wait() runs fn(*args) in this process: the
     forked parts are seeded, so they return the same values either way.
@@ -355,9 +366,28 @@ def chaos_scaling(
         out = pt.simulate(sim, pt.WealthVector(start))
         return w_init, wasserstein1(out.final.balances, q_t)
 
+    parent = os.getpid()
+
+    def run(jobs: list) -> list:
+        """(w1_t0, w1_t) of each job; a forked child whose parent is gone leaves between two."""
+        results = []
+        for n, child in jobs:
+            if os.getpid() != parent and os.getppid() != parent:
+                os._exit(1)
+            results.append(replica(n, child))
+        return results
+
+    # every replica's (size, seed) in replica order; one forked child runs every second one
+    jobs = [(n, child) for n, group in zip(n_list, pt.spawn_seeds(seed, len(n_list)))
+            for child in group.spawn(replicas)]
+    results = [None] * len(jobs)
+    with _in_child(run, jobs[1::2]) as theirs:
+        results[0::2] = run(jobs[0::2])
+        results[1::2] = theirs()
     stats = {}
-    for n, group in zip(n_list, pt.spawn_seeds(seed, len(n_list))):
-        w_init, w_final = zip(*(replica(n, child) for child in group.spawn(replicas)))
+    for k, n in enumerate(n_list):
+        # in replica order before any sum: the order of a numpy sum changes its bits
+        w_init, w_final = zip(*results[k * replicas:(k + 1) * replicas])
         stats[n] = {
             "w1_t0_mean": float(np.mean(w_init)),
             "w1_mean": float(np.mean(w_final)),

@@ -441,14 +441,15 @@ class TestPde:
 
 
 class TestGoldenArtifacts:
-    """SHA-256 of every file four runs write, manifest included.
+    """SHA-256 of every file six runs write, manifest included.
 
     Any change to an artifact's bytes fails here; update a hash only for an
     intended change of output. The pde start has 120 zero cells, so its
-    first record takes the D = +inf branch. figure1 and contraction run at
-    full size; contraction's first coupled run goes through its forked
-    child. No run reaches BLAS, so each hash holds under every OpenBLAS
-    kernel (TestCrossKernel).
+    first record takes the D = +inf branch. figure1, contraction and
+    chaos_full run at full size; contraction's first coupled run and every
+    second chaos replica go through a forked child, so in chaos_full the
+    20 replicas at N = 10^4 are split over both processes. No run reaches
+    BLAS, so each hash holds under every OpenBLAS kernel (TestCrossKernel).
     """
 
     CASES = {
@@ -483,6 +484,14 @@ class TestGoldenArtifacts:
                 "manifest.json": "671d6077cab8d14d8e9b00d6b7f113d5fcc5ce0a3b61c05ff82a65ea855ccc56",
                 "report.json": "7bdb440b5dca38c984e8a2bbff840c9d7b5cdc7611f9c8c5d7f1b0dd6221b575",
                 "series.csv": "82d79f542ab8406af9aa1b1503af9a0a27672be29dd6e3d1bb83689097a43c24",
+            },
+        ),
+        "chaos_full": (
+            ["study", "--study", "chaos", "--seed", "0"],
+            {
+                "manifest.json": "25295f877b33ee0c1b253f28b58ff906fde191aa01cc105eb339d2acfc647148",
+                "report.json": "607d0509fac0d79654c63b5e40d0b94b9c75410f59202bf65fc5e9fca0af0a83",
+                "series.csv": "20d4ed05473eac28263316a874898c76d3c2c6c05d64fc95380760461b632b9d",
             },
         ),
         "contraction": (

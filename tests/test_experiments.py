@@ -2,13 +2,17 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kinex
 from kinex import experiments as ex
 from kinex import particle as pt
 from kinex.cli import main
@@ -16,6 +20,8 @@ from kinex.errors import ConfigError, DataError, KinexError
 from kinex.kinetic1d import Equilibrium, Grid1D
 
 from conftest import Recorder
+
+SRC = str(Path(kinex.__file__).parents[1])
 
 
 class TestFitHelpers:
@@ -108,33 +114,51 @@ class TestContractionStudy:
 SMALL_CONTRACTION = {"t_final": 2.0, "coupled_n": 2000, "coupled_t": 2.0}
 
 
+@pytest.fixture
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):  # no zombie, and no child still running
+        os.waitpid(-1, os.WNOHANG)
+
+
+def in_child_only(monkeypatch, name, action):
+    """Make the child's calls of pt.<name> call action(); this process's calls run as before."""
+    parent, real = os.getpid(), getattr(pt, name)
+
+    def patched(config, state):
+        return real(config, state) if os.getpid() == parent else action()
+
+    monkeypatch.setattr(pt, name, patched)
+
+
+def record_forks(monkeypatch) -> list:
+    """The pid of every child os.fork makes from now on."""
+    forks, real_fork = [], os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forks
+
+
 class TestForkedCoupledRun:
     """contraction_study's first coupled run goes to one forked child (experiments._in_child)."""
 
     @pytest.fixture(autouse=True)
-    def small_and_no_child_left(self, monkeypatch):
+    def small(self, monkeypatch, no_child_left):
         for key, value in SMALL_CONTRACTION.items():
             monkeypatch.setitem(ex.CONTRACTION, key, value)
-        yield
-        with pytest.raises(ChildProcessError):  # no zombie, and no child still running
-            os.waitpid(-1, os.WNOHANG)
-
-    @staticmethod
-    def in_child_only(monkeypatch, action):
-        """Make the child's simulate_coupled call action(); this process's call runs as before."""
-        parent, real = os.getpid(), pt.simulate_coupled
-
-        def patched(config, pairs):
-            return real(config, pairs) if os.getpid() == parent else action()
-
-        monkeypatch.setattr(pt, "simulate_coupled", patched)
 
     @pytest.mark.parametrize("error", [DataError, ConfigError])
     def test_child_error_reraised(self, error, monkeypatch):
         def fail():
             raise error("drift 1e-3 in the child")
 
-        self.in_child_only(monkeypatch, fail)
+        in_child_only(monkeypatch, "simulate_coupled", fail)
         with pytest.raises(error) as info:
             ex.contraction_study(seed=0)
         assert type(info.value) is error and str(info.value) == "drift 1e-3 in the child"
@@ -143,8 +167,8 @@ class TestForkedCoupledRun:
         def pde_fails(report):
             raise DataError("the PDE route failed")
 
-        forks = self.record_forks(monkeypatch)
-        self.in_child_only(monkeypatch, lambda: time.sleep(60))
+        forks = record_forks(monkeypatch)
+        in_child_only(monkeypatch, "simulate_coupled", lambda: time.sleep(60))
         monkeypatch.setattr(ex, "_pde_envelope", pde_fails)
         start = time.perf_counter()
         with pytest.raises(DataError, match="the PDE route failed"):
@@ -155,7 +179,7 @@ class TestForkedCoupledRun:
             os.kill(forks[0], 0)
 
     def test_killed_child_is_one_error_line(self, tmp_path, capsys, monkeypatch):
-        self.in_child_only(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        in_child_only(monkeypatch, "simulate_coupled", lambda: os.kill(os.getpid(), signal.SIGKILL))
         code = main(["study", "--study", "contraction", "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 1
@@ -172,25 +196,11 @@ class TestForkedCoupledRun:
             with ex._in_child(threading.Lock) as wait:  # a lock does not pickle
                 wait()
 
-    @staticmethod
-    def record_forks(monkeypatch) -> list:
-        """The pid of every child os.fork makes from now on."""
-        forks, real_fork = [], os.fork
-
-        def recording_fork():
-            pid = real_fork()
-            if pid:
-                forks.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", recording_fork)
-        return forks
-
     def test_one_fork_whatever_the_cpu_count(self, tmp_path, monkeypatch):
         artifacts = {}
         for cpus in (1, 64):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            forks = self.record_forks(monkeypatch)
+            forks = record_forks(monkeypatch)
             out = tmp_path / f"cpus{cpus}"
             main(["study", "--study", "contraction", "--out", str(out)])
             assert len(forks) == 1
@@ -220,6 +230,136 @@ class TestForkedCoupledRun:
         # the child ran to the patched coupled_t = 1: the PDE times 1.5 and 2 have no msd
         msd = np.array([row[3] for row in forked.series_rows])
         assert np.isfinite(msd[:3]).all() and np.isnan(msd[3:]).all() and msd.size == 5
+
+
+# the golden chaos case, and one of 33 replicas: the child runs 16 of them, this process 17
+CHAOS_GOLDEN = ("--n-list", "50,200", "--replicas", "10", "--t", "1")
+CHAOS_ODD = ("--n-list", "50,100,200", "--replicas", "11", "--t", "1")
+
+# a chaos study whose every simulate call first sleeps 0.1 s, and which prints the forked
+# child's pid: the child's 100 replicas would take 10 s
+ORPHAN_MAIN = """
+import os, sys, time
+from kinex import cli, particle as pt
+
+real_fork, real_simulate = os.fork, pt.simulate
+
+def fork():
+    pid = real_fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+def slow_simulate(config, state):
+    time.sleep(0.1)
+    return real_simulate(config, state)
+
+os.fork, pt.simulate = fork, slow_simulate
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def running(pid: int) -> bool:
+    """Whether pid names a process that has not exited (a zombie has exited)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return not os.path.isdir("/proc")
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestForkedChaosReplicas:
+    """chaos_scaling runs every second replica in one forked child (experiments._in_child)."""
+
+    @staticmethod
+    def study(tmp_path, name, options) -> tuple[int, dict]:
+        out = tmp_path / name
+        code = main(["study", "--study", "chaos", *options, "--out", str(out)])
+        return code, {p.name: p.read_bytes() for p in out.iterdir()}
+
+    @pytest.mark.parametrize("options", [CHAOS_GOLDEN, CHAOS_ODD], ids=["golden", "odd"])
+    def test_same_bytes_without_fork(self, options, tmp_path, monkeypatch):
+        """Where os has no fork, the child's replicas run in this process and write the same bytes."""
+        forked = self.study(tmp_path, "forked", options)
+        monkeypatch.delattr(os, "fork")
+        assert self.study(tmp_path, "in_process", options) == forked and len(forked[1]) == 3
+
+    def test_this_process_runs_every_second_replica(self, monkeypatch):
+        parent, real, sizes = os.getpid(), pt.simulate, []
+
+        def recording(config, state):
+            if os.getpid() == parent:
+                sizes.append(config.n_agents)
+            return real(config, state)
+
+        monkeypatch.setattr(pt, "simulate", recording)
+        ex.chaos_scaling(seed=0, n_list=(50, 100, 200), replicas=11, t_eval=1.0)
+        assert sizes == ([50] * 11 + [100] * 11 + [200] * 11)[0::2]
+
+    def test_one_fork_whatever_the_cpu_count(self, tmp_path, monkeypatch):
+        artifacts = {}
+        for cpus in (1, 64):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            forks = record_forks(monkeypatch)
+            artifacts[cpus] = self.study(tmp_path, f"cpus{cpus}", CHAOS_GOLDEN)
+            assert len(forks) == 1
+        assert artifacts[1] == artifacts[64]
+
+    @pytest.mark.parametrize("error", [DataError, ConfigError])
+    def test_child_error_reraised(self, error, monkeypatch):
+        def fail():
+            raise error("W1 refused in the child")
+
+        in_child_only(monkeypatch, "simulate", fail)
+        with pytest.raises(error) as info:
+            ex.chaos_scaling(seed=0, n_list=(50, 200), replicas=10, t_eval=1.0)
+        assert type(info.value) is error and str(info.value) == "W1 refused in the child"
+
+    def test_parent_error_kills_and_reaps_the_child(self, monkeypatch):
+        parent, real = os.getpid(), pt.simulate
+
+        def simulate(config, state):
+            if os.getpid() == parent:
+                raise DataError("a replica failed in this process")
+            time.sleep(60)
+            return real(config, state)
+
+        forks = record_forks(monkeypatch)
+        monkeypatch.setattr(pt, "simulate", simulate)
+        start = time.perf_counter()
+        with pytest.raises(DataError, match="a replica failed in this process"):
+            ex.chaos_scaling(seed=0, n_list=(50, 200), replicas=10, t_eval=1.0)
+        assert time.perf_counter() - start < 30
+        assert len(forks) == 1
+        with pytest.raises(ProcessLookupError):
+            os.kill(forks[0], 0)
+
+    def test_child_leaves_when_the_parent_is_killed(self, tmp_path):
+        """A SIGKILLed study leaves no orphan: its child sees the parent gone between two replicas."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+        argv = ["study", "--study", "chaos", "--n-list", "50,200", "--replicas", "100", "--t", "1",
+                "--out", str(tmp_path / "out")]
+        proc = subprocess.Popen([sys.executable, "-c", ORPHAN_MAIN, *argv], env=env, stdout=subprocess.PIPE)
+        child = None
+        try:
+            child = int(proc.stdout.readline())
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 2.0
+            while running(child) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not running(child)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            if child is not None and running(child):
+                os.kill(child, signal.SIGKILL)
 
 
 class TestChaosScaling:
