@@ -131,7 +131,9 @@ def _in_child(fn, *args):
     hangs hangs this process too; a timeout would make a run's outcome
     depend on the host. The child inherits only the forking thread, and a
     lock that another thread held at the fork stays held in the child. So
-    fn must never call BLAS, import a module, log, or start a thread.
+    fn must never call BLAS, import a module, log, or start a thread. It
+    may fork a draw producer (a chaos replica with a long --t): its one
+    import, mmap, meets no held lock, as no other Python thread runs.
 
     Where os has no fork, wait() runs fn(*args) in this process: the
     forked parts are seeded, so they return the same values either way.

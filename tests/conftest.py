@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -46,3 +48,37 @@ class Recorder:
     def __call__(self, t, q):
         self.times.append(t)
         self.snapshots.append(q)
+
+
+@pytest.fixture
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):  # no zombie, and no child still running
+        os.waitpid(-1, os.WNOHANG)
+
+
+def record_forks(monkeypatch) -> list:
+    """The pid of every child os.fork makes from now on."""
+    forks, real_fork = [], os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forks
+
+
+def running(pid: int) -> bool:
+    """Whether pid names a process that has not exited (a zombie has exited)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return not os.path.isdir("/proc")

@@ -19,7 +19,7 @@ from kinex.cli import main
 from kinex.errors import ConfigError, DataError, KinexError
 from kinex.kinetic1d import Equilibrium, Grid1D
 
-from conftest import Recorder
+from conftest import Recorder, record_forks, running
 
 SRC = str(Path(kinex.__file__).parents[1])
 
@@ -114,13 +114,6 @@ class TestContractionStudy:
 SMALL_CONTRACTION = {"t_final": 2.0, "coupled_n": 2000, "coupled_t": 2.0}
 
 
-@pytest.fixture
-def no_child_left():
-    yield
-    with pytest.raises(ChildProcessError):  # no zombie, and no child still running
-        os.waitpid(-1, os.WNOHANG)
-
-
 def in_child_only(monkeypatch, name, action):
     """Make the child's calls of pt.<name> call action(); this process's calls run as before."""
     parent, real = os.getpid(), getattr(pt, name)
@@ -129,20 +122,6 @@ def in_child_only(monkeypatch, name, action):
         return real(config, state) if os.getpid() == parent else action()
 
     monkeypatch.setattr(pt, name, patched)
-
-
-def record_forks(monkeypatch) -> list:
-    """The pid of every child os.fork makes from now on."""
-    forks, real_fork = [], os.fork
-
-    def recording_fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return forks
 
 
 class TestForkedCoupledRun:
@@ -257,19 +236,6 @@ def slow_simulate(config, state):
 os.fork, pt.simulate = fork, slow_simulate
 sys.exit(cli.main(sys.argv[1:]))
 """
-
-
-def running(pid: int) -> bool:
-    """Whether pid names a process that has not exited (a zombie has exited)."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    try:
-        with open(f"/proc/{pid}/stat") as f:
-            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
-        return not os.path.isdir("/proc")
 
 
 @pytest.mark.usefixtures("no_child_left")

@@ -1,11 +1,21 @@
 import hashlib
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kinex
 from kinex import particle as pt
+from kinex.cli import main
 from kinex.errors import ConfigError, DataError, DomainError
 
+from conftest import record_forks, running
 from oracles import exchange_step
 from oracles.moments import m2_closed_form
 
@@ -331,6 +341,155 @@ class TestGoldenStreams:
         series = pt.simulate_coupled(pt.SimConfig(**kwargs), pairs)
         assert series.event_count == events
         assert _digest([series.times, series.msd]) == msd_sha
+
+
+# 12.2 expected batches at the figure1 population: the shortest run that forks a producer
+LONG = dict(n_agents=10_000, t_final=80.0, seed=5)
+
+# a long simulate that prints its producer's pid once the first batch is in, then sleeps:
+# by then the producer has filled both slots and waits on the "free" pipe
+PRODUCER_MAIN = """
+import os, sys, time
+from kinex import cli, particle as pt
+
+real_fork, real_apply, pids = os.fork, pt._apply, []
+
+def fork():
+    pid = real_fork()
+    if pid:
+        pids.append(pid)
+    return pid
+
+def apply(bal, ii, jj, uu):
+    if pids:
+        print(pids.pop(), flush=True)
+        time.sleep(60)
+    real_apply(bal, ii, jj, uu)
+
+os.fork, pt._apply = fork, apply
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestDrawProducer:
+    """A long single-population run takes its draws from one forked producer (particle._produced)."""
+
+    @staticmethod
+    def outcome(traj: pt.ParticleTrajectory) -> tuple:
+        return traj.event_count, traj.times, [s.balances.tobytes() for s in [*traj.snapshots, traj.final]]
+
+    @pytest.mark.parametrize("n, t_final", [(1000, 262.0), (40_000, 6.6)], ids=["list", "memoryview"])
+    def test_same_bytes_without_fork(self, n, t_final, monkeypatch):
+        """About four batches through the producer (threshold lowered to 2), then in this process."""
+        assert (n >= pt._IN_PLACE_AGENTS) == (n == 40_000)
+        monkeypatch.setattr(pt, "_PRODUCER_BATCHES", 2)
+        seed = 4
+        scale = 1.0 / pt.SimConfig(n_agents=n, t_final=t_final).total_rate()
+        first = next(pt._draws(np.random.default_rng(np.random.SeedSequence(seed)), n, scale))[0]
+        # due past the first batch's last event, so it is cut at the start of the second
+        past = float(np.nextafter(first[-1], np.inf))
+        config = pt.SimConfig(n_agents=n, t_final=t_final, seed=seed, snapshot_times=(0.0, 1.0, past, t_final))
+        init = pt.make_initial("exponential:2", n, np.random.SeedSequence(1))
+        forks = record_forks(monkeypatch)
+        forked = self.outcome(pt.simulate(config, init))
+        assert len(forks) == 1 and forked[0] > 3 * pt._BATCH
+        monkeypatch.delattr(os, "fork")
+        assert self.outcome(pt.simulate(config, init)) == forked
+
+    def test_one_fork_for_a_long_run(self, monkeypatch):
+        forks = record_forks(monkeypatch)
+        traj = pt.simulate(pt.SimConfig(**LONG), pt.make_initial("constant:10", LONG["n_agents"]))
+        assert len(forks) == 1 and traj.event_count > pt._PRODUCER_BATCHES * pt._BATCH
+
+    def test_no_fork_under_the_threshold(self, monkeypatch):
+        config = pt.SimConfig(**{**LONG, "t_final": 78.0})
+        assert config.total_rate() * config.t_final < pt._PRODUCER_BATCHES * pt._BATCH
+        forks = record_forks(monkeypatch)
+        pt.simulate(config, pt.make_initial("constant:10", LONG["n_agents"]))
+        assert forks == []
+
+    def test_no_fork_for_a_coupled_run(self, monkeypatch):
+        monkeypatch.setattr(pt, "_PRODUCER_BATCHES", 1)
+        config = pt.SimConfig(n_agents=2000, t_final=40.0, seed=5, snapshot_times=(0.0, 20.0, 40.0))
+        init = pt.make_initial("constant:6", 2000)
+        forks = record_forks(monkeypatch)
+        pt.simulate_coupled(config, pt.CoupledPairs.build(init, 2.0, seed=5))
+        assert forks == []
+        pt.simulate(config, init)  # the same run with one population forks
+        assert len(forks) == 1
+
+    def test_no_fork_beside_another_thread(self, monkeypatch):
+        monkeypatch.setattr(pt, "_PRODUCER_BATCHES", 1)
+        config = pt.SimConfig(n_agents=1000, t_final=150.0, seed=5)
+        init = pt.make_initial("constant:1", 1000)
+        forks, release = record_forks(monkeypatch), threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            beside = pt.simulate(config, init)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive() and forks == []
+        assert self.outcome(pt.simulate(config, init)) == self.outcome(beside) and len(forks) == 1
+
+    def test_error_mid_run_reaps_the_producer(self, monkeypatch):
+        apply, calls = pt._apply, []
+
+        def failing_apply(bal, ii, jj, uu):
+            calls.append(True)
+            if len(calls) == 3:
+                raise DataError("an event went wrong")
+            apply(bal, ii, jj, uu)
+
+        forks = record_forks(monkeypatch)
+        monkeypatch.setattr(pt, "_apply", failing_apply)
+        with pytest.raises(DataError, match="an event went wrong") as info:
+            pt.simulate(pt.SimConfig(**LONG), pt.make_initial("constant:10", LONG["n_agents"]))
+        assert len(forks) == 1
+        with pytest.raises(ProcessLookupError):  # reaped, though info's traceback still holds _run's frame
+            os.kill(forks[0], 0)
+        assert info.traceback
+
+    def test_killed_producer_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        apply, forks = pt._apply, record_forks(monkeypatch)
+
+        def apply_after_kill(bal, ii, jj, uu):
+            if forks:  # the first batch is here: kill its producer
+                os.kill(forks.pop(), signal.SIGKILL)
+            apply(bal, ii, jj, uu)
+
+        monkeypatch.setattr(pt, "_apply", apply_after_kill)
+        code = main(["simulate", "--n", "10000", "--t", "80", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "kinex: error: the draw producer ended without a batch\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_producer_leaves_when_the_parent_is_killed(self, tmp_path):
+        """A SIGKILLed simulate leaves no producer: it reads EOF on the "free" pipe its parent held."""
+        src = str(Path(kinex.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        argv = ["simulate", "--n", "10000", "--t", "1000", "--out", str(tmp_path / "out")]
+        proc = subprocess.Popen([sys.executable, "-c", PRODUCER_MAIN, *argv], env=env, stdout=subprocess.PIPE)
+        producer = None
+        try:
+            producer = int(proc.stdout.readline())
+            time.sleep(0.2)
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 2.0
+            while running(producer) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not running(producer)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            if producer is not None and running(producer):
+                os.kill(producer, signal.SIGKILL)
+        assert not (tmp_path / "out").exists()
 
 
 class TestHistogram:
