@@ -10,29 +10,29 @@ study. All randomness flows from explicit seeds through numpy SeedSequence
 spawning, so a study re-run with the same arguments reproduces its
 artifacts byte for byte.
 
-Two studies fork one child each (POSIX fork; see _in_child). The
+Two studies fork one child each (POSIX fork; see _fork). The
 contraction study runs its first coupled particle run in the child while
-this process runs the second and then the PDE route. The chaos study,
-after its PDE solve, runs every second replica in the child and the rest
-in this process, and puts the results back in replica order before any
-sum. There is one child whatever the CPU count, every forked part is
-seeded, and every artifact is the same to the byte as when the parts run
-one after another, which is what happens where os has no fork.
+this process runs the second and then the PDE route. The chaos study
+forks before its PDE solve: the child takes replicas from the back of the
+job list, this process from the front once q_t is solved, and the results
+go back in replica order before any sum. There is one child whatever the
+CPU count, every forked part is seeded, and every artifact is the same to
+the byte as when the parts run one after another, which is what happens
+where os has no fork.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
 import os
-import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import particle as pt
+from ._fork import _from_both_ends, _in_child
 from .diagnostics import (
     TrajectoryObserver,
     eep_study,
@@ -41,7 +41,7 @@ from .diagnostics import (
     wasserstein1,
     wasserstein2,
 )
-from .errors import ConfigError, DataError, KinexError
+from .errors import ConfigError, DataError
 from .kinetic1d import Equilibrium, Grid1D, GridDensity1D, solve, uniform_density
 
 # ---------------------------------------------------------------------------
@@ -108,79 +108,6 @@ class StudyReport:
             f.write(",".join(self.series_columns) + "\n")
             for row in self.series_rows:
                 f.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-@contextlib.contextmanager
-def _in_child(fn, *args):
-    """Run fn(*args) in one forked child while the with-body runs in this process.
-
-    Yields wait(): it reads the child's pickled outcome from a pipe, reaps
-    the child, and returns fn's result or raises fn's exception, with its
-    type and message. A child that ends without a whole outcome (killed, or
-    with an outcome that does not pickle) is one KinexError. If the body
-    raises before wait() has reaped the child, the child is killed and
-    reaped, so no run leaves a process behind. The child sees this
-    process's state as of the fork, module constants included, and leaves
-    through os._exit: it never returns into the caller's frames, runs no
-    exit handlers and flushes no inherited stdio buffer. Fork on the main
-    thread, before any thread of kinex runs. Its users are the contraction
-    study (its first coupled run) and the chaos study (every second
-    replica).
-
-    wait() reads to the end of the pipe with no time bound, so a child that
-    hangs hangs this process too; a timeout would make a run's outcome
-    depend on the host. The child inherits only the forking thread, and a
-    lock that another thread held at the fork stays held in the child. So
-    fn must never call BLAS, import a module, log, or start a thread. It
-    may fork a draw producer (a chaos replica with a long --t): its one
-    import, mmap, meets no held lock, as no other Python thread runs.
-
-    Where os has no fork, wait() runs fn(*args) in this process: the
-    forked parts are seeded, so they return the same values either way.
-    """
-    if not hasattr(os, "fork"):
-        yield lambda: fn(*args)
-        return
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            try:
-                outcome = (True, fn(*args))
-            except BaseException as exc:  # sent to the parent, whose wait() raises it
-                outcome = (False, exc)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(outcome))
-            code = 0  # only a child that wrote its whole outcome exits 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    pipe = os.fdopen(read_fd, "rb")
-    reaped = False
-
-    def wait():
-        nonlocal reaped
-        with pipe:
-            data = pipe.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        reaped = True
-        if code != 0:
-            how = f"signal {-code}" if code < 0 else f"exit code {code}"
-            raise KinexError(f"the forked run ended without a result ({how})")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        return value
-
-    try:
-        yield wait
-    finally:
-        pipe.close()
-        if not reaped:
-            os.kill(pid, 9)  # SIGKILL, without importing signal for it
-            os.waitpid(pid, 0)
 
 
 def _sample_from_density(q: GridDensity1D, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -355,37 +282,26 @@ def chaos_scaling(
     q0 = Equilibrium(1.0).on_grid(Grid1D.from_spacing(_CHAOS_X_MAX, CHAOS["dx"])).normalized()
     report = StudyReport("chaos", {"seed": seed, "n_list": list(n_list), "replicas": replicas, "t_eval": t_eval,
                                    **CHAOS, "q0_mean": q0.mean})
-    q_t = solve(q0, t_eval, CHAOS["dt"]).normalized()
-    if abs(q_t.mean - q0.mean) > 1e-3:
-        raise DataError(f"PDE mean drifted {q_t.mean - q0.mean:.2e}; check the grid")
     q0n = q0.normalized()
-
-    def replica(n: int, child: np.random.SeedSequence) -> tuple[float, float]:
-        rng = np.random.default_rng(child)
-        start = _sample_from_density(q0n, n, rng)
-        w_init = wasserstein1(start, q0n)
-        sim = pt.SimConfig(n_agents=n, t_final=t_eval, seed=int(child.generate_state(1)[0]))
-        out = pt.simulate(sim, pt.WealthVector(start))
-        return w_init, wasserstein1(out.final.balances, q_t)
-
-    parent = os.getpid()
-
-    def run(jobs: list) -> list:
-        """(w1_t0, w1_t) of each job; a forked child whose parent is gone leaves between two."""
-        results = []
-        for n, child in jobs:
-            if os.getpid() != parent and os.getppid() != parent:
-                os._exit(1)
-            results.append(replica(n, child))
-        return results
-
-    # every replica's (size, seed) in replica order; one forked child runs every second one
+    # every replica's (size, seed) in replica order
     jobs = [(n, child) for n, group in zip(n_list, pt.spawn_seeds(seed, len(n_list)))
             for child in group.spawn(replicas)]
-    results = [None] * len(jobs)
-    with _in_child(run, jobs[1::2]) as theirs:
-        results[0::2] = run(jobs[0::2])
-        results[1::2] = theirs()
+
+    def replica(k: int, q_t: GridDensity1D | None) -> tuple:
+        """Job k's (w1_t0, w1_t), or (w1_t0, final balances) while q_t is None."""
+        n, child = jobs[k]
+        start = _sample_from_density(q0n, n, np.random.default_rng(child))
+        sim = pt.SimConfig(n_agents=n, t_final=t_eval, seed=int(child.generate_state(1)[0]))
+        final = pt.simulate(sim, pt.WealthVector(start)).final.balances
+        return wasserstein1(start, q0n), final if q_t is None else wasserstein1(final, q_t)
+
+    def solved() -> GridDensity1D:
+        q_t = solve(q0, t_eval, CHAOS["dt"]).normalized()
+        if abs(q_t.mean - q0.mean) > 1e-3:
+            raise DataError(f"PDE mean drifted {q_t.mean - q0.mean:.2e}; check the grid")
+        return q_t
+
+    results = _from_both_ends(replica, len(jobs), q0.grid, solved)
     stats = {}
     for k, n in enumerate(n_list):
         # in replica order before any sum: the order of a numpy sum changes its bits

@@ -249,7 +249,11 @@ def _run(config: SimConfig, balances: np.ndarray, mirror: np.ndarray | None, on_
     memoryview ns/event (2e5 events, best of 5, 2-vCPU x86), no snapshots:
     ~210/260 at N = 1e4, ~240/290 at 3e4, ~310/360 at 5e4, ~440/300 at 1e5;
     a snapshot every 5000 events: 407/253 at 3e4, 805/262 at 5e4. So the
-    switch stays at 3e4. After every batch the total is checked afresh.
+    switch stays at 3e4. After every batch the total is checked afresh; a
+    list is summed by builtin sum (43 µs at N = 1e4, against 214 µs for
+    np.sum of a copy). Its rounding is at most (N - 1) 2^-53 relative for
+    nonnegative balances: 1.1e-12 at N = 1e4 and 3.3e-12 just below
+    _IN_PLACE_AGENTS, 300x or more under _SELF_CHECK_RTOL.
 
     A run with one population and at least _PRODUCER_BATCHES expected
     batches draws in a producer (_produced) if os has fork and no other
@@ -292,7 +296,7 @@ def _run(config: SimConfig, balances: np.ndarray, mirror: np.ndarray | None, on_
                 on_snapshot(snaps[snap_idx])
                 snap_idx += 1
             events += start
-            fresh = float(np.sum(balances if in_place else np.fromiter(pops[0], float, n)))
+            fresh = float(np.sum(balances)) if in_place else sum(pops[0])
             if abs(fresh - total0) > _SELF_CHECK_RTOL * max(abs(total0), 1.0):
                 raise DataError(f"conservation drift {fresh - total0:.3e} after {events} events")
             if start < _BATCH:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -125,7 +126,7 @@ def in_child_only(monkeypatch, name, action):
 
 
 class TestForkedCoupledRun:
-    """contraction_study's first coupled run goes to one forked child (experiments._in_child)."""
+    """contraction_study's first coupled run goes to one forked child (_fork._in_child)."""
 
     @pytest.fixture(autouse=True)
     def small(self, monkeypatch, no_child_left):
@@ -211,17 +212,19 @@ class TestForkedCoupledRun:
         assert np.isfinite(msd[:3]).all() and np.isnan(msd[3:]).all() and msd.size == 5
 
 
-# the golden chaos case, and one of 33 replicas: the child runs 16 of them, this process 17
+# the golden chaos case, and one of 33 replicas
 CHAOS_GOLDEN = ("--n-list", "50,200", "--replicas", "10", "--t", "1")
 CHAOS_ODD = ("--n-list", "50,100,200", "--replicas", "11", "--t", "1")
 
-# a chaos study whose every simulate call first sleeps 0.1 s, and which prints the forked
-# child's pid: the child's 100 replicas would take 10 s
+# a chaos study that prints its forked child's pid and is slowed at one point: every
+# simulate call sleeps 0.1 s (the child's replicas would take 20 s), or the PDE solve 60 s
 ORPHAN_MAIN = """
 import os, sys, time
-from kinex import cli, particle as pt
+from kinex import cli, experiments as ex, particle as pt
 
-real_fork, real_simulate = os.fork, pt.simulate
+real_fork, slow = os.fork, sys.argv[1]
+module = pt if slow == "simulate" else ex
+real = getattr(module, slow)
 
 def fork():
     pid = real_fork()
@@ -229,18 +232,62 @@ def fork():
         print(pid, flush=True)
     return pid
 
-def slow_simulate(config, state):
-    time.sleep(0.1)
-    return real_simulate(config, state)
+def slowed(*args):
+    time.sleep(0.1 if slow == "simulate" else 60)
+    return real(*args)
 
-os.fork, pt.simulate = fork, slow_simulate
-sys.exit(cli.main(sys.argv[1:]))
+os.fork = fork
+setattr(module, slow, slowed)
+sys.exit(cli.main(sys.argv[2:]))
 """
+
+
+def state(pid: int) -> str:
+    """The state letter of a process in /proc/<pid>/stat ("S": sleeping, as on a pipe read)."""
+    with open(f"/proc/{pid}/stat") as f:
+        return f.read().rsplit(")", 1)[1].split()[0]
+
+
+def job_seeds(seed: int, n_list: tuple, replicas: int) -> list:
+    """The simulate seed of each chaos job, in replica order."""
+    return [int(child.generate_state(1)[0]) for group in pt.spawn_seeds(seed, len(n_list))
+            for child in group.spawn(replicas)]
+
+
+def slow_child(monkeypatch, seconds: float, perturb: float = 1.0) -> list:
+    """Make the child's simulate calls sleep (and scale its starts); returns this process's seeds."""
+    parent, real, seeds = os.getpid(), pt.simulate, []
+
+    def simulate(config, state):
+        if os.getpid() == parent:
+            seeds.append(config.seed)
+            return real(config, state)
+        time.sleep(seconds)
+        return real(config, pt.WealthVector(state.balances * perturb))
+
+    monkeypatch.setattr(pt, "simulate", simulate)
+    return seeds
+
+
+def child_ignores_this_process(monkeypatch):
+    """The forked child reads this process's claim (shared slot 0) as 0, so it runs every job."""
+    parent, real = os.getpid(), np.frombuffer
+
+    class Claims(np.ndarray):
+        def __getitem__(self, i):
+            return 0 if i == 0 and os.getpid() != parent else super().__getitem__(i)
+
+    def frombuffer(buffer, dtype=float, count=-1, offset=0):
+        view = real(buffer, dtype, count, offset)
+        return view.view(Claims) if view.dtype == np.int64 else view
+
+    monkeypatch.setattr(np, "frombuffer", frombuffer)
 
 
 @pytest.mark.usefixtures("no_child_left")
 class TestForkedChaosReplicas:
-    """chaos_scaling runs every second replica in one forked child (experiments._in_child)."""
+    """chaos_scaling forks one child before its PDE solve (_fork._in_child); the child
+    takes replicas from the back of the job list, this process from the front after the solve."""
 
     @staticmethod
     def study(tmp_path, name, options) -> tuple[int, dict]:
@@ -255,17 +302,64 @@ class TestForkedChaosReplicas:
         monkeypatch.delattr(os, "fork")
         assert self.study(tmp_path, "in_process", options) == forked and len(forked[1]) == 3
 
-    def test_this_process_runs_every_second_replica(self, monkeypatch):
-        parent, real, sizes = os.getpid(), pt.simulate, []
+    def test_child_claims_every_job_before_the_solve_ends(self, tmp_path, monkeypatch):
+        parent, real_solve, real_simulate, sizes = os.getpid(), ex.solve, pt.simulate, []
+
+        def slow_solve(*args):
+            time.sleep(1.5)
+            return real_solve(*args)
 
         def recording(config, state):
             if os.getpid() == parent:
                 sizes.append(config.n_agents)
+            return real_simulate(config, state)
+
+        monkeypatch.setattr(ex, "solve", slow_solve)
+        monkeypatch.setattr(pt, "simulate", recording)
+        forked = self.study(tmp_path, "forked", CHAOS_GOLDEN)
+        assert sizes == []  # the child ran all 20, and waited on "ready" for q_t
+        monkeypatch.setattr(ex, "solve", real_solve)
+        monkeypatch.delattr(os, "fork")
+        assert self.study(tmp_path, "in_process", CHAOS_GOLDEN) == forked and len(forked[1]) == 3
+
+    def test_every_index_runs_at_least_once(self, tmp_path, monkeypatch):
+        parent, real, log = os.getpid(), pt.simulate, tmp_path / "ran.txt"
+
+        def recording(config, state):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid() == parent} {config.seed}\n")
             return real(config, state)
 
         monkeypatch.setattr(pt, "simulate", recording)
         ex.chaos_scaling(seed=0, n_list=(50, 100, 200), replicas=11, t_eval=1.0)
-        assert sizes == ([50] * 11 + [100] * 11 + [200] * 11)[0::2]
+        index = {s: k for k, s in enumerate(job_seeds(0, (50, 100, 200), 11))}
+        ran = {"True": [], "False": []}
+        for line in log.read_text().splitlines():
+            here, seed = line.split()
+            ran[here].append(index[int(seed)])
+        mine, theirs = ran["True"], ran["False"]
+        assert mine == list(range(len(mine)))  # from the front
+        assert theirs == list(range(32, 32 - len(theirs), -1))  # from the back, largest sizes first
+        assert set(mine) | set(theirs) == set(range(33))
+        assert len(set(mine) & set(theirs)) <= 1  # only where the two met
+
+    def test_a_job_run_twice_gives_equal_pairs(self, tmp_path, monkeypatch):
+        forked_seeds = slow_child(monkeypatch, 0.02)
+        child_ignores_this_process(monkeypatch)
+        forked = self.study(tmp_path, "forked", CHAOS_GOLDEN)
+        assert forked_seeds  # each job this process ran, the child ran too
+        monkeypatch.delattr(os, "fork")
+        assert self.study(tmp_path, "in_process", CHAOS_GOLDEN) == forked
+
+    def test_a_perturbed_duplicate_is_one_error(self, tmp_path, capsys, monkeypatch):
+        slow_child(monkeypatch, 0.02, perturb=1.5)
+        child_ignores_this_process(monkeypatch)
+        code = main(["study", "--study", "chaos", *CHAOS_GOLDEN, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert re.fullmatch(r"kinex: error: replica \d+ gave \(.*\) in this process but \(.*\) in the forked child\n",
+                            err), err
+        assert not (tmp_path / "out").exists()
 
     def test_one_fork_whatever_the_cpu_count(self, tmp_path, monkeypatch):
         artifacts = {}
@@ -278,10 +372,20 @@ class TestForkedChaosReplicas:
 
     @pytest.mark.parametrize("error", [DataError, ConfigError])
     def test_child_error_reraised(self, error, monkeypatch):
+        """The child dies before the solve ends, so "ready" is written to a dead child."""
         def fail():
             raise error("W1 refused in the child")
 
+        def solve_after_the_child(*args):
+            deadline = time.monotonic() + 10
+            while running(forks[0]) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not running(forks[0])
+            return real_solve(*args)
+
+        forks, real_solve = record_forks(monkeypatch), ex.solve
         in_child_only(monkeypatch, "simulate", fail)
+        monkeypatch.setattr(ex, "solve", solve_after_the_child)
         with pytest.raises(error) as info:
             ex.chaos_scaling(seed=0, n_list=(50, 200), replicas=10, t_eval=1.0)
         assert type(info.value) is error and str(info.value) == "W1 refused in the child"
@@ -305,15 +409,32 @@ class TestForkedChaosReplicas:
         with pytest.raises(ProcessLookupError):
             os.kill(forks[0], 0)
 
-    def test_child_leaves_when_the_parent_is_killed(self, tmp_path):
-        """A SIGKILLed study leaves no orphan: its child sees the parent gone between two replicas."""
+    def test_drift_error_kills_and_reaps_a_waiting_child(self, monkeypatch):
+        def slow_solve(*args):
+            time.sleep(0.5)  # the child's 20 small replicas are done: it waits on "ready"
+            assert running(forks[0])
+            return real_solve(*args)
+
+        forks, real_solve = record_forks(monkeypatch), ex.solve
+        monkeypatch.setattr(ex, "solve", slow_solve)
+        monkeypatch.setattr(ex, "_CHAOS_X_MAX", 4.0)  # the PDE mean drifts on so short a domain
+        with pytest.raises(DataError, match="PDE mean drifted"):
+            ex.chaos_scaling(seed=1, n_list=(50, 100), replicas=10, t_eval=1.5)
+        assert len(forks) == 1
+        with pytest.raises(ProcessLookupError):
+            os.kill(forks[0], 0)
+
+    @staticmethod
+    def orphan(tmp_path, slow: str, before_kill=lambda child: None):
+        """SIGKILL a subprocess study (slowed at slow) once its child is forked; the child must go."""
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
         argv = ["study", "--study", "chaos", "--n-list", "50,200", "--replicas", "100", "--t", "1",
                 "--out", str(tmp_path / "out")]
-        proc = subprocess.Popen([sys.executable, "-c", ORPHAN_MAIN, *argv], env=env, stdout=subprocess.PIPE)
+        proc = subprocess.Popen([sys.executable, "-c", ORPHAN_MAIN, slow, *argv], env=env, stdout=subprocess.PIPE)
         child = None
         try:
             child = int(proc.stdout.readline())
+            before_kill(child)
             proc.kill()
             proc.wait()
             deadline = time.monotonic() + 2.0
@@ -326,6 +447,21 @@ class TestForkedChaosReplicas:
             proc.stdout.close()
             if child is not None and running(child):
                 os.kill(child, signal.SIGKILL)
+
+    def test_child_leaves_when_the_parent_is_killed(self, tmp_path):
+        """A SIGKILLed study leaves no orphan: its child sees the parent gone between two replicas."""
+        self.orphan(tmp_path, "simulate")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads the child's state from /proc")
+    def test_waiting_child_leaves_when_the_parent_is_killed(self, tmp_path):
+        """A child that ran out of jobs and waits on "ready" reads EOF once its parent is killed."""
+        def wait_until_blocked(child):
+            deadline = time.monotonic() + 20
+            while state(child) != "S" and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert state(child) == "S"
+
+        self.orphan(tmp_path, "solve", wait_until_blocked)
 
 
 class TestChaosScaling:

@@ -155,6 +155,25 @@ class TestSimulate:
                 else:
                     pt.simulate(config, init)
 
+    def test_self_check_sees_a_small_drift_in_a_list(self, monkeypatch):
+        # the list path sums its balances with builtin sum: at N = 1e4 its rounding must stay
+        # far enough under the 1e-9 bound that a drift of 1e-8 of the total still shows
+        n, apply, corrupted = 10_000, pt._apply, []
+        init = pt.make_initial("exponential:1", n, np.random.SeedSequence(0))
+        config = pt.SimConfig(n_agents=n, t_final=2.0)  # ~10 000 events, one batch
+        assert n < pt._IN_PLACE_AGENTS
+        pt.simulate(config, init)  # no drift: no error
+
+        def corrupting_apply(bal, ii, jj, uu):
+            apply(bal, ii, jj, uu)
+            if not corrupted:
+                bal[0] += 1e-8 * init.total
+                corrupted.append(True)
+
+        monkeypatch.setattr(pt, "_apply", corrupting_apply)
+        with pytest.raises(DataError, match="conservation drift"):
+            pt.simulate(config, init)
+
     @pytest.mark.parametrize("coupled", [False, True], ids=["simulate", "simulate_coupled"])
     def test_list_and_memoryview_state_agree(self, coupled, monkeypatch):
         # the two representations of the balances must apply the very same float operations
