@@ -18,6 +18,10 @@ events (same pair, same uniform fraction) to expose the pathwise
 squared-difference contraction; see simulate_coupled. A long
 single-population run takes its batches from one forked producer that
 draws them ahead of the event loop (see _run); the events are the same.
+Below _IN_PLACE_AGENTS agents the loop applies events one by one to
+Python lists (_apply); from there on it applies them in numpy, a round of
+events on disjoint agents at a time (_apply_rounds). Both give every
+agent the same float operations in the same order, so the bits agree.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ _BATCH = 1 << 15
 _PRODUCER_BATCHES = 12  # see _run
 _SELF_CHECK_RTOL = 1e-9
 _IN_PLACE_AGENTS = 30_000  # see _run
+# events per chunk of _apply_rounds; 2048-4096 ran fastest at N = 3e4 and 1e5, a whole batch 1.8-2.2x slower
+_ROUND_EVENTS = 4096
 # A larger population is refused before numpy would try to allocate it.
 _MAX_AGENTS = 10**6
 # More expected events (total rate x time) are refused before the first draw; 20x figure1's.
@@ -166,13 +172,42 @@ class ParticleTrajectory:
     event_count: int = 0
 
 
-def _apply(bal: list | memoryview, ii: memoryview, jj: memoryview, uu: memoryview) -> None:
+def _apply(bal: list, ii: memoryview, jj: memoryview, uu: memoryview) -> None:
     """Apply the events (i, j, u) in order: agents i and j split their pool u : 1-u."""
     for i, j, u in zip(ii, jj, uu):
         pool = bal[i] + bal[j]
         share = u * pool
         bal[i] = share
         bal[j] = pool - share
+
+
+def _apply_rounds(arrays: tuple, ii: np.ndarray, jj: np.ndarray, uu: np.ndarray, first: np.ndarray) -> None:
+    """Apply the events (i, j, u) in order to every array, a round of independent events at a time.
+
+    Per chunk of _ROUND_EVENTS events, np.minimum.at leaves in first[k] the
+    position of agent k's earliest remaining event, and a round applies
+    every event that comes first for both its agents. Those events touch
+    disjoint agents and every earlier event of theirs is applied, so each
+    agent gets _apply's float operations in _apply's order. first (one
+    int32 per agent) holds _ROUND_EVENTS, past every position, on entry and
+    on return.
+    """
+    for lo in range(0, len(ii), _ROUND_EVENTS):
+        a, b, u = ii[lo : lo + _ROUND_EVENTS], jj[lo : lo + _ROUND_EVENTS], uu[lo : lo + _ROUND_EVENTS]
+        pos = np.arange(len(a), dtype=np.int32)
+        while len(pos):
+            np.minimum.at(first, a, pos)
+            np.minimum.at(first, b, pos)
+            ready = (first[a] == pos) & (first[b] == pos)
+            first[a] = first[b] = _ROUND_EVENTS
+            ra, rb, ru = a[ready], b[ready], u[ready]
+            for bal in arrays:
+                pool = bal[ra] + bal[rb]
+                share = ru * pool
+                bal[ra] = share
+                bal[rb] = pool - share
+            rest = ~ready
+            a, b, u, pos = a[rest], b[rest], u[rest], pos[rest]
 
 
 def _draws(rng: np.random.Generator, n: int, scale: float):
@@ -240,16 +275,17 @@ def _run(config: SimConfig, balances: np.ndarray, mirror: np.ndarray | None, on_
 
     Each batch of draws is cut at t_final and at every due snapshot, so a
     snapshot sees exactly the events at or before its time; a snapshot at or
-    after the batch's last event waits for the next batch. A segment is read
-    through memoryviews of the draw arrays (no copy; they yield the same
-    Python ints and floats) and applied to the primary, then to the mirror:
-    the two never interact. Returns the executed event count. The arrays
-    are updated in place: from _IN_PLACE_AGENTS agents on through a
-    memoryview, below that via a list copied back at each snapshot. List vs
-    memoryview ns/event (2e5 events, best of 5, 2-vCPU x86), no snapshots:
-    ~210/260 at N = 1e4, ~240/290 at 3e4, ~310/360 at 5e4, ~440/300 at 1e5;
-    a snapshot every 5000 events: 407/253 at 3e4, 805/262 at 5e4. So the
-    switch stays at 3e4. After every batch the total is checked afresh; a
+    after the batch's last event waits for the next batch. Returns the
+    executed event count. From _IN_PLACE_AGENTS agents on, a segment goes
+    to _apply_rounds, which updates the arrays in place; below that it is
+    read through memoryviews of the draw arrays (no copy; they yield the
+    same Python ints and floats) and applied to a list of the primary, then
+    of the mirror (the two never interact), copied back at each snapshot.
+    Rounds over list ns/event (8 batches, best of 3, 2-vCPU x86):
+    one population 254/78 at N = 1e3, 133/78 at 3e3, 79/77 at 1e4, 50/85
+    at 3e4, 35/132 at 1e5; two populations 287/161 at 1e3, 145/154 at 3e3,
+    86/150 at 1e4, 59/175 at 3e4, 44/234 at 1e5. The switch stays at 3e4,
+    above both crossovers. After every batch the total is checked afresh; a
     list is summed by builtin sum (43 µs at N = 1e4, against 214 µs for
     np.sum of a copy). Its rounding is at most (N - 1) 2^-53 relative for
     nonnegative balances: 1.1e-12 at N = 1e4 and 3.3e-12 just below
@@ -266,11 +302,12 @@ def _run(config: SimConfig, balances: np.ndarray, mirror: np.ndarray | None, on_
     n = config.n_agents
     scale = 1.0 / config.total_rate()
     arrays = (balances,) if mirror is None else (balances, mirror)
-    in_place = n >= _IN_PLACE_AGENTS
-    pops = [memoryview(arr) if in_place else arr.tolist() for arr in arrays]
+    rounds = n >= _IN_PLACE_AGENTS
+    pops = [] if rounds else [arr.tolist() for arr in arrays]
+    first = np.full(n, _ROUND_EVENTS, np.int32) if rounds else None
 
     def flush():
-        for arr, pop in zip(arrays, () if in_place else pops):
+        for arr, pop in zip(arrays, pops):
             arr[:] = np.fromiter(pop, float, n)
 
     total0 = float(balances.sum())
@@ -286,9 +323,12 @@ def _run(config: SimConfig, balances: np.ndarray, mirror: np.ndarray | None, on_
             # the cuts due in this batch, plus the first one at or past its last event
             due = cut_times[snap_idx : np.searchsorted(cut_times, times[-1]) + 1]
             for stop in np.searchsorted(times, due, side="right").tolist():
-                segment = ii[start:stop].data, jj[start:stop].data, uu[start:stop].data
-                for pop in pops:
-                    _apply(pop, *segment)
+                if rounds:
+                    _apply_rounds(arrays, ii[start:stop], jj[start:stop], uu[start:stop], first)
+                else:
+                    segment = ii[start:stop].data, jj[start:stop].data, uu[start:stop].data
+                    for pop in pops:
+                        _apply(pop, *segment)
                 start = stop
                 if stop == _BATCH or snap_idx == len(snaps):
                     break
@@ -296,7 +336,7 @@ def _run(config: SimConfig, balances: np.ndarray, mirror: np.ndarray | None, on_
                 on_snapshot(snaps[snap_idx])
                 snap_idx += 1
             events += start
-            fresh = float(np.sum(balances)) if in_place else sum(pops[0])
+            fresh = float(np.sum(balances)) if rounds else sum(pops[0])
             if abs(fresh - total0) > _SELF_CHECK_RTOL * max(abs(total0), 1.0):
                 raise DataError(f"conservation drift {fresh - total0:.3e} after {events} events")
             if start < _BATCH:
@@ -381,7 +421,8 @@ def simulate_coupled(config: SimConfig, pairs: CoupledPairs) -> CoupledSeries:
     def on_snapshot(t: float):
         times.append(t)
         diff = prim - mirr
-        msd.append(float(np.mean(diff * diff)))
+        diff *= diff
+        msd.append(float(np.mean(diff)))
 
     events = _run(config, prim, mirr, on_snapshot)
     return CoupledSeries(

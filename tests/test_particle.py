@@ -135,18 +135,26 @@ class TestSimulate:
     def test_self_check_runs_every_batch(self, coupled, monkeypatch):
         # a balance changed behind the kernel's back must show in the fresh sum taken
         # at the end of the first batch, not only at the end of the run
-        apply, corrupted = pt._apply, []
+        apply, apply_rounds, corrupted = pt._apply, pt._apply_rounds, []
 
-        def corrupting_apply(bal, ii, jj, uu):
-            apply(bal, ii, jj, uu)
+        def corrupt(bal):
             if not corrupted:
                 bal[0] += 1.0
                 corrupted.append(True)
 
+        def corrupting_apply(bal, ii, jj, uu):
+            apply(bal, ii, jj, uu)
+            corrupt(bal)
+
+        def corrupting_rounds(arrays, ii, jj, uu, first):
+            apply_rounds(arrays, ii, jj, uu, first)
+            corrupt(arrays[0])
+
         monkeypatch.setattr(pt, "_apply", corrupting_apply)
+        monkeypatch.setattr(pt, "_apply_rounds", corrupting_rounds)
         config = pt.SimConfig(n_agents=10, t_final=10_000.0, snapshot_times=(1.0,))  # ~45 000 events
         init = pt.make_initial("constant:1", 10)
-        for in_place_from in (2, 10**9):  # balances in a memoryview, then in a list
+        for in_place_from in (2, 10**9):  # balances applied in rounds, then in a list
             monkeypatch.setattr(pt, "_IN_PLACE_AGENTS", in_place_from)
             corrupted.clear()
             with pytest.raises(DataError, match=f"conservation drift 1.000e\\+00 after {pt._BATCH} events"):
@@ -175,8 +183,8 @@ class TestSimulate:
             pt.simulate(config, init)
 
     @pytest.mark.parametrize("coupled", [False, True], ids=["simulate", "simulate_coupled"])
-    def test_list_and_memoryview_state_agree(self, coupled, monkeypatch):
-        # the two representations of the balances must apply the very same float operations
+    def test_list_and_rounds_state_agree(self, coupled, monkeypatch):
+        # the list loop and the rounds must apply the very same float operations
         config = pt.SimConfig(n_agents=300, t_final=250.0, seed=5, snapshot_times=(0.0, 1.0, 1.0, 123.4, 250.0))
         init = pt.make_initial("exponential:2", 300, np.random.SeedSequence(1))
         runs = []
@@ -264,6 +272,67 @@ class TestCoupled:
     def test_length_mismatch_guard(self):
         with pytest.raises(ConfigError):
             pt.CoupledPairs(pt.make_initial("constant:1", 10), pt.make_initial("constant:1", 9))
+
+
+class TestApplyRounds:
+    """_apply_rounds gives every array the bytes that _apply gives a list, and leaves first at its sentinel."""
+
+    @staticmethod
+    def events(n: int, count: int, seed: int = 0):
+        rng = np.random.default_rng(seed)
+        ii = rng.integers(0, n, count)
+        jj = rng.integers(0, n - 1, count)
+        jj += jj >= ii
+        return ii, jj, rng.random(count)
+
+    @staticmethod
+    def compare(n: int, ii, jj, uu, populations: int):
+        rng = np.random.default_rng(n)
+        arrays = tuple(rng.exponential(2.0, n) for _ in range(populations))
+        expected = []
+        for arr in arrays:
+            bal = arr.tolist()
+            pt._apply(bal, ii.data, jj.data, uu.data)
+            expected.append(np.array(bal).tobytes())
+        first = np.full(n, pt._ROUND_EVENTS, np.int32)
+        pt._apply_rounds(arrays, ii, jj, uu, first)
+        assert [arr.tobytes() for arr in arrays] == expected
+        assert np.all(first == pt._ROUND_EVENTS)
+
+    @pytest.mark.parametrize("populations", [1, 2])
+    @pytest.mark.parametrize("n", [2, 10, 1000])
+    def test_small_populations(self, n, populations):
+        # at N = 2 every round holds one event, at N = 10 a few; across one chunk edge
+        self.compare(n, *self.events(n, pt._ROUND_EVENTS + 7), populations)
+
+    @pytest.mark.parametrize("populations", [1, 2])
+    def test_repeated_pair(self, populations):
+        ii = np.array([3, 5, 3, 5, 3, 7, 3])
+        jj = np.array([5, 3, 5, 3, 5, 3, 5])
+        uu = np.random.default_rng(1).random(7)
+        self.compare(8, ii, jj, uu, populations)
+
+    @pytest.mark.parametrize("populations", [1, 2])
+    @pytest.mark.parametrize("count", [0, 1, pt._ROUND_EVENTS - 1, pt._ROUND_EVENTS + 1, 3 * pt._ROUND_EVENTS])
+    def test_segment_lengths(self, count, populations):
+        self.compare(500, *self.events(500, count, seed=count), populations)
+
+    def test_coupled_run_cut_inside_a_chunk(self, monkeypatch):
+        """N = 30 000 in rounds against the list loop, with a snapshot between two chunk edges."""
+        n, seed = 30_000, 3
+        assert n >= pt._IN_PLACE_AGENTS
+        scale = 1.0 / pt.SimConfig(n_agents=n, t_final=1.0).total_rate()
+        times = next(pt._draws(np.random.default_rng(np.random.SeedSequence(seed)), n, scale))[0]
+        cut = float(times[pt._ROUND_EVENTS + pt._ROUND_EVENTS // 2])
+        config = pt.SimConfig(n_agents=n, t_final=3.0, seed=seed, snapshot_times=(0.0, cut, 1.0, 3.0))
+        pairs = pt.CoupledPairs.build(pt.make_initial("exponential:1", n, np.random.SeedSequence(2)), 1.0, seed)
+        runs = []
+        for in_place_from in (n, n + 1):
+            monkeypatch.setattr(pt, "_IN_PLACE_AGENTS", in_place_from)
+            series = pt.simulate_coupled(config, pairs)
+            runs.append((series.event_count, series.times.tobytes(), series.msd.tobytes()))
+        assert runs[0][0] > pt._BATCH
+        assert runs[0] == runs[1]
 
 
 def _digest(arrays) -> str:
@@ -398,7 +467,7 @@ class TestDrawProducer:
     def outcome(traj: pt.ParticleTrajectory) -> tuple:
         return traj.event_count, traj.times, [s.balances.tobytes() for s in [*traj.snapshots, traj.final]]
 
-    @pytest.mark.parametrize("n, t_final", [(1000, 262.0), (40_000, 6.6)], ids=["list", "memoryview"])
+    @pytest.mark.parametrize("n, t_final", [(1000, 262.0), (40_000, 6.6)], ids=["list", "rounds"])
     def test_same_bytes_without_fork(self, n, t_final, monkeypatch):
         """About four batches through the producer (threshold lowered to 2), then in this process."""
         assert (n >= pt._IN_PLACE_AGENTS) == (n == 40_000)
