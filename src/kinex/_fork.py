@@ -1,11 +1,9 @@
-"""The forked parts of the studies in experiments (POSIX fork).
+"""The forked parts of kinex (POSIX fork).
 
-_in_child runs one part of a study in one forked child while this process
-runs the rest; _from_both_ends splits the chaos study's replicas between
-this process and that child. They sit apart from experiments, whose
-source is compiled on every run where no bytecode is cached, to keep that
-module's compile small (ROADMAP.md, item 1). particle._produced is the one
-other fork site.
+_in_child is the one place that forks. It serves the contraction study,
+_from_both_ends (the chaos study) and particle._produced (the draw
+producer). It sits apart from experiments to keep that module's compile
+small where no bytecode is cached (ROADMAP.md, item 1).
 """
 
 from __future__ import annotations
@@ -13,6 +11,8 @@ from __future__ import annotations
 import contextlib
 import os
 import pickle
+import threading
+import warnings
 
 import numpy as np
 
@@ -29,35 +29,40 @@ def _in_child(fn, *args):
     the child, and returns fn's result or raises fn's exception, with its
     type and message. A child that ends without a whole outcome (killed, or
     with an outcome that does not pickle) is one KinexError. If the body
-    raises before wait() has reaped the child, the child is killed and
-    reaped, so no run leaves a process behind. The child sees this
-    process's state as of the fork, module constants included, and leaves
-    through os._exit: it never returns into the caller's frames, runs no
-    exit handlers and flushes no inherited stdio buffer. Fork on the main
-    thread, before any thread of kinex runs. Its users are the contraction
-    study (its first coupled run) and the chaos study (the replicas it
-    claims from the back).
+    ends before wait() has reaped the child, the child is killed and
+    reaped. The child leaves through os._exit, never into the caller.
 
-    wait() reads to the end of the pipe with no time bound, so a child that
-    hangs hangs this process too; a timeout would make a run's outcome
-    depend on the host. The child inherits only the forking thread, and a
-    lock that another thread held at the fork stays held in the child. So
-    fn must never call BLAS, import a module, log, or start a thread. It
-    may fork a draw producer (a chaos replica with a long --t): its one
-    import, mmap, meets no held lock, as no other Python thread runs.
+    The orphan rule: this process holds the only write end of an "alive"
+    pipe; a daemon thread of the child calls os._exit(1) at EOF there, when
+    this process closed it or died (SIGKILL included). The thread rule: fn
+    and every thread of the child call no BLAS, import nothing and take no
+    lock held at the fork; fn never forks. Fork on the main thread while no
+    other Python thread runs.
 
-    Where os has no fork, wait() runs fn(*args) in this process: the
-    forked parts are seeded, so they return the same values either way.
+    wait() has no time bound. Where os has no fork, wait() runs fn(*args)
+    in this process: the forked parts are seeded, so the values agree.
     """
     if not hasattr(os, "fork"):
         yield lambda: fn(*args)
         return
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    fds = read_fd, write_fd, alive_r, alive_w = *os.pipe(), *os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns, as OpenBLAS's pool is alive: the child calls no BLAS,
+            # and no other Python thread runs at any fork site
+            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        for fd in fds:
+            os.close(fd)
+        raise
     if pid == 0:
         code = 1
         try:
             os.close(read_fd)
+            os.close(alive_w)
+            # the orphan rule: nothing writes to "alive", so this read returns only at EOF
+            threading.Thread(target=lambda: os.read(alive_r, 1) or os._exit(1), daemon=True).start()
             try:
                 outcome = (True, fn(*args))
             except BaseException as exc:  # sent to the parent, whose wait() raises it
@@ -68,6 +73,7 @@ def _in_child(fn, *args):
         finally:
             os._exit(code)
     os.close(write_fd)
+    os.close(alive_r)
     pipe = os.fdopen(read_fd, "rb")
     reaped = False
 
@@ -89,6 +95,7 @@ def _in_child(fn, *args):
         yield wait
     finally:
         pipe.close()
+        os.close(alive_w)
         if not reaped:
             os.kill(pid, 9)  # SIGKILL, without importing signal for it
             os.waitpid(pid, 0)
@@ -106,7 +113,7 @@ def _from_both_ends(replica, n_jobs: int, grid: Grid1D, solved) -> list:
     through the same map, a flag ([2]) and one byte on "ready". Until then
     the child keeps replica(k, None) = (w1_t0, final balances) and takes
     W1 at t once q_t is there; it waits on "ready" only when it has no job
-    left, and a dead parent is EOF there.
+    left.
     """
     import mmap  # as in particle._produced
 
@@ -115,22 +122,16 @@ def _from_both_ends(replica, n_jobs: int, grid: Grid1D, solved) -> list:
     claims[1] = n_jobs
     q_values = np.frombuffer(shared, np.float64, offset=24)
     ready_r, ready_w = os.pipe()
-    parent = os.getpid()
 
     def back() -> dict:
-        if os.getpid() != parent:
-            os.close(ready_w)  # so a dead parent is EOF on "ready"
         done, q_t, k = {}, None, n_jobs - 1
         while True:
             if q_t is None and (claims[2] or k < claims[0]):
-                if not os.read(ready_r, 1):
-                    os._exit(1)
+                os.read(ready_r, 1)
                 q_t = GridDensity1D(grid, q_values)
                 done = {j: (w, wasserstein1(final, q_t)) for j, (w, final) in done.items()}
             if k < claims[0]:
                 return done
-            if os.getpid() != parent and os.getppid() != parent:
-                os._exit(1)
             claims[1] = k
             done[k] = replica(k, q_t)
             k -= 1

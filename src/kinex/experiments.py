@@ -10,15 +10,15 @@ study. All randomness flows from explicit seeds through numpy SeedSequence
 spawning, so a study re-run with the same arguments reproduces its
 artifacts byte for byte.
 
-Two studies fork one child each (POSIX fork; see _fork). The
-contraction study runs its first coupled particle run in the child while
-this process runs the second and then the PDE route. The chaos study
-forks before its PDE solve: the child takes replicas from the back of the
-job list, this process from the front once q_t is solved, and the results
-go back in replica order before any sum. There is one child whatever the
-CPU count, every forked part is seeded, and every artifact is the same to
-the byte as when the parts run one after another, which is what happens
-where os has no fork.
+Two studies fork one child each by _fork._in_child, which ends the
+child if this process dies. The contraction study runs its first coupled
+particle run in the child while this process runs the second and then
+the PDE route. The chaos study forks before its PDE solve: the child
+takes replicas from the back of the job list, this process from the
+front once q_t is solved, and the results go back in replica order.
+There is one child whatever the CPU count, every forked part is seeded,
+and every artifact is the same to the byte as where os has no fork and
+the parts run one after another.
 """
 
 from __future__ import annotations

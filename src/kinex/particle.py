@@ -16,8 +16,9 @@ spawn_seeds() for documented, collision-free sub-seeds.
 The coupled mode advances a second population through the very same
 events (same pair, same uniform fraction) to expose the pathwise
 squared-difference contraction; see simulate_coupled. A long
-single-population run takes its batches from one forked producer that
-draws them ahead of the event loop (see _run); the events are the same.
+single-population run takes its batches from one producer, forked by
+_fork._in_child, that draws them ahead of the event loop (see _run); the
+events are the same.
 Below _IN_PLACE_AGENTS agents the loop applies events one by one to
 Python lists (_apply); from there on it applies them in numpy, a round of
 events on disjoint agents at a time (_apply_rounds). Both give every
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError, KinexError
+from .errors import ConfigError, DataError, DomainError
 from .kinetic1d import Grid1D, GridDensity1D
 
 _BATCH = 1 << 15
@@ -228,46 +229,41 @@ def _draws(rng: np.random.Generator, n: int, scale: float):
 def _produced(rng: np.random.Generator, n: int, scale: float):
     """Yield the batches of _draws(rng, n, scale) from one forked producer, two slots ahead.
 
-    A slot of the shared mapping is refilled only after one byte on the
-    "free" pipe, sent when the loop asks for the next batch; one byte on
-    "ready" hands a filled slot over. The producer exits at EOF on "free"
-    (this process closed it, or died); one that ends without a batch is a
-    KinexError. Closing the generator kills and reaps the producer.
+    The producer is _fork._in_child's child. A slot of the shared mapping
+    is refilled only after one byte on the "free" pipe, sent when the loop
+    asks for the next batch; one byte on "ready" hands a filled slot over.
+    EOF on "ready" means the producer ended, and wait() raises why.
+    Closing the generator kills and reaps the producer.
     """
-    import mmap  # only runs that fork a producer load it
+    import mmap  # only runs that fork a producer load these
+
+    from ._fork import _in_child
 
     shared = mmap.mmap(-1, 2 * 4 * 8 * _BATCH)
     slots = [[np.frombuffer(shared, kind, _BATCH, 8 * _BATCH * (4 * s + k))
               for k, kind in enumerate((np.float64, np.int64, np.int64, np.float64))] for s in (0, 1)]
-    ready_r, ready_w = os.pipe()
-    free_r, free_w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(ready_r)
-            os.close(free_w)
-            for k, batch in enumerate(_draws(rng, n, scale)):
-                if k > 1 and not os.read(free_r, 1):
-                    os._exit(0)
-                for slot, values in zip(slots[k % 2], batch):
-                    slot[:] = values
-                os.write(ready_w, b"r")
-        finally:
-            os._exit(1)
-    os.close(ready_w)
-    os.close(free_r)
+    fds = ready_r, ready_w, free_r, free_w = *os.pipe(), *os.pipe()
+
+    def produce():
+        for k, batch in enumerate(_draws(rng, n, scale)):
+            if k > 1:
+                os.read(free_r, 1)
+            for slot, values in zip(slots[k % 2], batch):
+                slot[:] = values
+            os.write(ready_w, b"r")
+
     try:
-        for k in itertools.count():
-            if not os.read(ready_r, 1):
-                raise KinexError("the draw producer ended without a batch")
-            yield slots[k % 2]
-            with contextlib.suppress(BrokenPipeError):  # a dead producer: EOF above
-                os.write(free_w, b"f")
+        with _in_child(produce) as wait:
+            os.close(ready_w)  # so the producer's end is the last: EOF once it ends
+            fds = ready_r, free_r, free_w
+            for k in itertools.count():
+                if not os.read(ready_r, 1):
+                    wait()  # produce never returns: this raises its exception, or one KinexError
+                yield slots[k % 2]
+                os.write(free_w, b"f")  # this process holds free_r: no BrokenPipeError
     finally:
-        os.close(ready_r)
-        os.close(free_w)
-        os.kill(pid, 9)  # SIGKILL, without importing signal for it
-        os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
 
 
 def _run(config: SimConfig, balances: np.ndarray, mirror: np.ndarray | None, on_snapshot) -> int:
@@ -293,7 +289,8 @@ def _run(config: SimConfig, balances: np.ndarray, mirror: np.ndarray | None, on_
 
     A run with one population and at least _PRODUCER_BATCHES expected
     batches draws in a producer (_produced) if os has fork and no other
-    Python thread runs; the rest draw in process (_draws). Producer vs
+    Python thread runs, so never in a forked child, where _in_child's
+    orphan thread runs; the rest draw in process (_draws). Producer vs
     in-process wall at N = 1e4 (20 alternating pairs, 2-vCPU x86): 4 batches
     +13%, 8 -1%, 12 -8%, 16 -18%, 32 -10%, against a fixed 6.8 ms for fork,
     first batch and reap.

@@ -50,8 +50,9 @@ class Recorder:
         self.snapshots.append(q)
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def no_child_left():
+    """After every test: no child of this process is left, running or as a zombie."""
     yield
     with pytest.raises(ChildProcessError):  # no zombie, and no child still running
         os.waitpid(-1, os.WNOHANG)

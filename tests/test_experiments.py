@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -129,7 +130,7 @@ class TestForkedCoupledRun:
     """contraction_study's first coupled run goes to one forked child (_fork._in_child)."""
 
     @pytest.fixture(autouse=True)
-    def small(self, monkeypatch, no_child_left):
+    def small(self, monkeypatch):
         for key, value in SMALL_CONTRACTION.items():
             monkeypatch.setitem(ex.CONTRACTION, key, value)
 
@@ -176,6 +177,44 @@ class TestForkedCoupledRun:
             with ex._in_child(threading.Lock) as wait:  # a lock does not pickle
                 wait()
 
+    @pytest.mark.parametrize("message, ignored", [
+        ("This process (pid=12) is multi-threaded, use of fork() may lead to deadlocks in the child.", True),
+        ("some other deprecation", False)], ids=["threaded_fork", "other"])
+    def test_only_the_threaded_fork_warning_is_ignored(self, message, ignored, monkeypatch):
+        """Python >= 3.12 warns at os.fork while OpenBLAS's threads are alive; that message alone is ignored."""
+        real_fork = os.fork
+
+        def warning_fork():
+            warnings.warn(message, DeprecationWarning, stacklevel=2)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if ignored:
+                with ex._in_child(divmod, 7, 2) as wait:
+                    assert wait() == (3, 1)
+            else:
+                with pytest.raises(DeprecationWarning, match=message):
+                    with ex._in_child(divmod, 7, 2):
+                        pass
+
+    def test_fork_beside_a_thread_records_no_warning(self):
+        """Only Python >= 3.12 warns here (a second thread runs), and the helper ignores that warning."""
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with ex._in_child(divmod, 7, 2) as wait:
+                    assert wait() == (3, 1)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
+
     def test_one_fork_whatever_the_cpu_count(self, tmp_path, monkeypatch):
         artifacts = {}
         for cpus in (1, 64):
@@ -216,14 +255,15 @@ class TestForkedCoupledRun:
 CHAOS_GOLDEN = ("--n-list", "50,200", "--replicas", "10", "--t", "1")
 CHAOS_ODD = ("--n-list", "50,100,200", "--replicas", "11", "--t", "1")
 
-# a chaos study that prints its forked child's pid and is slowed at one point: every
-# simulate call sleeps 0.1 s (the child's replicas would take 20 s), or the PDE solve 60 s
+# a study that prints its forked child's pid and is slowed at one point: every simulate
+# call sleeps 0.1 s (the chaos child's replicas would take 20 s), or every simulate_coupled
+# call or the PDE solve 60 s
 ORPHAN_MAIN = """
 import os, sys, time
 from kinex import cli, experiments as ex, particle as pt
 
 real_fork, slow = os.fork, sys.argv[1]
-module = pt if slow == "simulate" else ex
+module = ex if slow == "solve" else pt
 real = getattr(module, slow)
 
 def fork():
@@ -246,6 +286,33 @@ def state(pid: int) -> str:
     """The state letter of a process in /proc/<pid>/stat ("S": sleeping, as on a pipe read)."""
     with open(f"/proc/{pid}/stat") as f:
         return f.read().rsplit(")", 1)[1].split()[0]
+
+
+def orphan(tmp_path, slow: str, study: list, before_kill=lambda child: None):
+    """SIGKILL a subprocess study (slowed at slow) once its child is forked; the child must go."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    argv = ["study", "--study", *study, "--out", str(tmp_path / "out")]
+    proc = subprocess.Popen([sys.executable, "-c", ORPHAN_MAIN, slow, *argv], env=env, stdout=subprocess.PIPE)
+    child = None
+    try:
+        child = int(proc.stdout.readline())
+        before_kill(child)
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 2.0
+        while running(child) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not running(child)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        if child is not None and running(child):
+            os.kill(child, signal.SIGKILL)
+
+
+# a chaos study whose child runs 200 replicas
+CHAOS_ORPHAN = ["chaos", "--n-list", "50,200", "--replicas", "100", "--t", "1"]
 
 
 def job_seeds(seed: int, n_list: tuple, replicas: int) -> list:
@@ -284,7 +351,6 @@ def child_ignores_this_process(monkeypatch):
     monkeypatch.setattr(np, "frombuffer", frombuffer)
 
 
-@pytest.mark.usefixtures("no_child_left")
 class TestForkedChaosReplicas:
     """chaos_scaling forks one child before its PDE solve (_fork._in_child); the child
     takes replicas from the back of the job list, this process from the front after the solve."""
@@ -424,44 +490,41 @@ class TestForkedChaosReplicas:
         with pytest.raises(ProcessLookupError):
             os.kill(forks[0], 0)
 
-    @staticmethod
-    def orphan(tmp_path, slow: str, before_kill=lambda child: None):
-        """SIGKILL a subprocess study (slowed at slow) once its child is forked; the child must go."""
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
-        argv = ["study", "--study", "chaos", "--n-list", "50,200", "--replicas", "100", "--t", "1",
-                "--out", str(tmp_path / "out")]
-        proc = subprocess.Popen([sys.executable, "-c", ORPHAN_MAIN, slow, *argv], env=env, stdout=subprocess.PIPE)
-        child = None
-        try:
-            child = int(proc.stdout.readline())
-            before_kill(child)
-            proc.kill()
-            proc.wait()
-            deadline = time.monotonic() + 2.0
-            while running(child) and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert not running(child)
-        finally:
-            proc.kill()
-            proc.wait()
-            proc.stdout.close()
-            if child is not None and running(child):
-                os.kill(child, signal.SIGKILL)
-
     def test_child_leaves_when_the_parent_is_killed(self, tmp_path):
-        """A SIGKILLed study leaves no orphan: its child sees the parent gone between two replicas."""
-        self.orphan(tmp_path, "simulate")
+        """A SIGKILLed study leaves no orphan: amid its replicas, its child reads EOF on "alive" and exits."""
+        orphan(tmp_path, "simulate", CHAOS_ORPHAN)
 
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads the child's state from /proc")
     def test_waiting_child_leaves_when_the_parent_is_killed(self, tmp_path):
-        """A child that ran out of jobs and waits on "ready" reads EOF once its parent is killed."""
+        """A child that ran out of jobs and waits on "ready" reads EOF on "alive" once its parent is killed."""
         def wait_until_blocked(child):
             deadline = time.monotonic() + 20
             while state(child) != "S" and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert state(child) == "S"
 
-        self.orphan(tmp_path, "solve", wait_until_blocked)
+        orphan(tmp_path, "solve", CHAOS_ORPHAN, wait_until_blocked)
+
+
+def test_contraction_child_leaves_when_the_parent_is_killed(tmp_path):
+    """A SIGKILLed contraction study leaves no orphan: its child, asleep in its coupled run, reads EOF on "alive"."""
+    orphan(tmp_path, "simulate_coupled", ["contraction"])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists this process's descriptors in /proc")
+@pytest.mark.parametrize("argv", [["simulate", "--n", "10000", "--t", "80"], ["study", "--study", "contraction"],
+                                  ["study", "--study", "chaos", *CHAOS_GOLDEN]], ids=["producer", "contraction", "chaos"])
+def test_failed_fork_is_one_error_line_and_closes_what_it_opened(argv, tmp_path, capsys, monkeypatch):
+    def fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", fork)
+    before = sorted(os.listdir("/proc/self/fd"))
+    code = main([*argv, "--out", str(tmp_path / "out")])
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert code == 1
+    assert capsys.readouterr().err == f"kinex: i/o error: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n"
+    assert not (tmp_path / "out").exists()
 
 
 class TestChaosScaling:

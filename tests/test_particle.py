@@ -459,7 +459,6 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-@pytest.mark.usefixtures("no_child_left")
 class TestDrawProducer:
     """A long single-population run takes its draws from one forked producer (particle._produced)."""
 
@@ -540,6 +539,24 @@ class TestDrawProducer:
             os.kill(forks[0], 0)
         assert info.traceback
 
+    def test_producer_error_is_raised_here(self, monkeypatch):
+        """An error in the producer after its first batch reaches simulate's caller with its type and message."""
+        parent, draws = os.getpid(), pt._draws
+
+        def failing_draws(rng, n, scale):
+            batches = draws(rng, n, scale)
+            yield next(batches)
+            if os.getpid() != parent:
+                raise DataError("a draw went wrong in the producer")
+            yield from batches
+
+        forks = record_forks(monkeypatch)
+        monkeypatch.setattr(pt, "_draws", failing_draws)
+        with pytest.raises(DataError) as info:
+            pt.simulate(pt.SimConfig(**LONG), pt.make_initial("constant:10", LONG["n_agents"]))
+        assert len(forks) == 1
+        assert type(info.value) is DataError and str(info.value) == "a draw went wrong in the producer"
+
     def test_killed_producer_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         apply, forks = pt._apply, record_forks(monkeypatch)
 
@@ -552,11 +569,11 @@ class TestDrawProducer:
         code = main(["simulate", "--n", "10000", "--t", "80", "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 1
-        assert err == "kinex: error: the draw producer ended without a batch\n"
+        assert err == "kinex: error: the forked run ended without a result (signal 9)\n"
         assert not (tmp_path / "out").exists()
 
     def test_producer_leaves_when_the_parent_is_killed(self, tmp_path):
-        """A SIGKILLed simulate leaves no producer: it reads EOF on the "free" pipe its parent held."""
+        """A SIGKILLed simulate leaves no producer: it reads EOF on the "alive" pipe its parent held."""
         src = str(Path(kinex.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         argv = ["simulate", "--n", "10000", "--t", "1000", "--out", str(tmp_path / "out")]
