@@ -1,7 +1,7 @@
 """The forked parts of kinex (POSIX fork).
 
 _in_child is the one place that forks. It serves the contraction study,
-_from_both_ends (the chaos study) and particle._produced (the draw
+_from_both_ends (the chaos study) and _producer._produced (the draw
 producer). It sits apart from experiments to keep that module's compile
 small where no bytecode is cached (ROADMAP.md, item 1).
 """
@@ -115,7 +115,7 @@ def _from_both_ends(replica, n_jobs: int, grid: Grid1D, solved) -> list:
     W1 at t once q_t is there; it waits on "ready" only when it has no job
     left.
     """
-    import mmap  # as in particle._produced
+    import mmap  # only the chaos study loads it here; the draw producer loads it with _producer
 
     shared = mmap.mmap(-1, 8 * (3 + grid.n_cells))
     claims = np.frombuffer(shared, np.int64, 3)

@@ -231,7 +231,9 @@ def wasserstein1(p, r) -> float:
     """
     mp, mr = _measure(p), _measure(r, keep=True)
     if mp.step or mr.step or not np.array_equal(mp.xs, mr.xs):
-        breaks = np.union1d(mp.xs, mr.xs)
+        # np.union1d by np.unique's steps, which np.unique itself takes only after importing numpy.ma
+        breaks = np.sort(np.concatenate((mp.xs, mr.xs)))
+        breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
     else:
         breaks = mp.xs
     a, b = breaks[:-1], breaks[1:]

@@ -211,7 +211,10 @@ def contraction_study(seed: int = 0) -> StudyReport:
         return pt.simulate_coupled(config, pairs)
 
     # coupled pairs: constant start one dollar above the mirror mean, run by one forked child
-    # (before solve starts its record thread) while this process runs the rest
+    # (before solve starts its record thread) while this process runs the rest; numpy loads
+    # numpy.random on first use, so it is loaded here, as the child imports nothing
+    import numpy.random  # noqa: F401
+
     with _in_child(coupled, coupled_m1 + 1, seed) as first_series:
         # envelope proxy needs matched means: restart from the mirror mean
         series2 = coupled(coupled_m1, seed + 1)

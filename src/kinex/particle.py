@@ -21,14 +21,15 @@ _fork._in_child, that draws them ahead of the event loop (see _run); the
 events are the same.
 Below _IN_PLACE_AGENTS agents the loop applies events one by one to
 Python lists (_apply); from there on it applies them in numpy, a round of
-events on disjoint agents at a time (_apply_rounds). Both give every
-agent the same float operations in the same order, so the bits agree.
+events on disjoint agents at a time (_apply_rounds), and the producer puts
+some chunks in round order ahead of the loop (_producer._schedule). All
+give every agent the same float operations in the same order, so the bits
+agree.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import os
 import threading
 from dataclasses import dataclass, field
@@ -41,9 +42,12 @@ from .kinetic1d import Grid1D, GridDensity1D
 _BATCH = 1 << 15
 _PRODUCER_BATCHES = 12  # see _run
 _SELF_CHECK_RTOL = 1e-9
-_IN_PLACE_AGENTS = 30_000  # see _run
-# events per chunk of _apply_rounds; 2048-4096 ran fastest at N = 3e4 and 1e5, a whole batch 1.8-2.2x slower
+_IN_PLACE_AGENTS = 10_000  # see _run
+# events per chunk of _apply_rounds from 3e4 agents on, half that below (_chunk): chunks of 1024/2048/4096/8192
+# ran 56/44/41/47 ns/event at N = 1e4 and 38/32/29/27 at 1e5, a whole batch 132 and 30, and at 1e4 4096 put
+# figure1's peak RSS 0.4 MB above 2048
 _ROUND_EVENTS = 4096
+_PRODUCER_STRIDE = 3  # the producer schedules every 3rd chunk of a batch (see _run)
 # A larger population is refused before numpy would try to allocate it.
 _MAX_AGENTS = 10**6
 # More expected events (total rate x time) are refused before the first draw; 20x figure1's.
@@ -51,6 +55,11 @@ _MAX_EVENTS = 10**8
 # More kept balances (agents x snapshot times) are refused before the first draw: simulate
 # copies the state at every snapshot, and simulate --write-snapshots writes one row per value
 _MAX_SNAPSHOT_VALUES = 10**7
+
+
+def _chunk(n: int) -> int:
+    """Events per chunk of _apply_rounds at n agents."""
+    return _ROUND_EVENTS if n >= 30_000 else _ROUND_EVENTS // 2
 
 
 class WealthVector:
@@ -182,33 +191,54 @@ def _apply(bal: list, ii: memoryview, jj: memoryview, uu: memoryview) -> None:
         bal[j] = pool - share
 
 
-def _apply_rounds(arrays: tuple, ii: np.ndarray, jj: np.ndarray, uu: np.ndarray, first: np.ndarray) -> None:
+def _rounds(a: np.ndarray, b: np.ndarray, u: np.ndarray, first: np.ndarray):
+    """Yield one chunk's events (a, b, u) as rounds, each an (a, b, u) of events on disjoint agents.
+
+    np.minimum.at leaves in first[k] the position of agent k's earliest
+    remaining event, and a round holds every event that comes first for
+    both its agents. Those events touch disjoint agents and every earlier
+    event of theirs is in an earlier round, so applying the rounds in turn
+    gives each agent _apply's float operations in _apply's order. Only the
+    agents decide the rounds, never a balance. first (one int32 per agent)
+    holds _ROUND_EVENTS, past every position, on entry and after the last
+    round.
+    """
+    pos = np.arange(len(a), dtype=np.int32)
+    while len(pos):
+        np.minimum.at(first, a, pos)
+        np.minimum.at(first, b, pos)
+        ready = (first[a] == pos) & (first[b] == pos)
+        first[a] = first[b] = _ROUND_EVENTS
+        # by index: a mask this irregular is slower to select by
+        go, rest = np.flatnonzero(ready), np.flatnonzero(~ready)
+        yield a.take(go), b.take(go), u.take(go)
+        a, b, u, pos = a.take(rest), b.take(rest), u.take(rest), pos.take(rest)
+
+
+def _apply_rounds(arrays: tuple, ii: np.ndarray, jj: np.ndarray, uu: np.ndarray, first: np.ndarray,
+                  counts: np.ndarray | None = None, ends: np.ndarray | None = None) -> None:
     """Apply the events (i, j, u) in order to every array, a round of independent events at a time.
 
-    Per chunk of _ROUND_EVENTS events, np.minimum.at leaves in first[k] the
-    position of agent k's earliest remaining event, and a round applies
-    every event that comes first for both its agents. Those events touch
-    disjoint agents and every earlier event of theirs is applied, so each
-    agent gets _apply's float operations in _apply's order. first (one
-    int32 per agent) holds _ROUND_EVENTS, past every position, on entry and
-    on return.
+    The rounds of each chunk of _chunk(N) events come from _rounds, which
+    needs first (see there), or, where counts[c] > 0, from the draw
+    producer (_producer._schedule): chunk c is then in round order, and the
+    next counts[c] values of ends end its rounds, each a contiguous slice.
     """
-    for lo in range(0, len(ii), _ROUND_EVENTS):
-        a, b, u = ii[lo : lo + _ROUND_EVENTS], jj[lo : lo + _ROUND_EVENTS], uu[lo : lo + _ROUND_EVENTS]
-        pos = np.arange(len(a), dtype=np.int32)
-        while len(pos):
-            np.minimum.at(first, a, pos)
-            np.minimum.at(first, b, pos)
-            ready = (first[a] == pos) & (first[b] == pos)
-            first[a] = first[b] = _ROUND_EVENTS
-            ra, rb, ru = a[ready], b[ready], u[ready]
+    chunk, planned, at = _chunk(len(first)), [] if counts is None else counts.tolist(), 0
+    for c, lo in enumerate(range(0, len(ii), chunk)):
+        a, b, u = ii[lo : lo + chunk], jj[lo : lo + chunk], uu[lo : lo + chunk]
+        if c < len(planned) and planned[c]:
+            bounds = [0, *ends[at : at + planned[c]].tolist()]
+            at += planned[c]
+            rounds = ((a[s:e], b[s:e], u[s:e]) for s, e in zip(bounds, bounds[1:]))
+        else:
+            rounds = _rounds(a, b, u, first)
+        for ra, rb, ru in rounds:
             for bal in arrays:
                 pool = bal[ra] + bal[rb]
                 share = ru * pool
                 bal[ra] = share
                 bal[rb] = pool - share
-            rest = ~ready
-            a, b, u, pos = a[rest], b[rest], u[rest], pos[rest]
 
 
 def _draws(rng: np.random.Generator, n: int, scale: float):
@@ -226,46 +256,6 @@ def _draws(rng: np.random.Generator, n: int, scale: float):
         t = times[-1]
 
 
-def _produced(rng: np.random.Generator, n: int, scale: float):
-    """Yield the batches of _draws(rng, n, scale) from one forked producer, two slots ahead.
-
-    The producer is _fork._in_child's child. A slot of the shared mapping
-    is refilled only after one byte on the "free" pipe, sent when the loop
-    asks for the next batch; one byte on "ready" hands a filled slot over.
-    EOF on "ready" means the producer ended, and wait() raises why.
-    Closing the generator kills and reaps the producer.
-    """
-    import mmap  # only runs that fork a producer load these
-
-    from ._fork import _in_child
-
-    shared = mmap.mmap(-1, 2 * 4 * 8 * _BATCH)
-    slots = [[np.frombuffer(shared, kind, _BATCH, 8 * _BATCH * (4 * s + k))
-              for k, kind in enumerate((np.float64, np.int64, np.int64, np.float64))] for s in (0, 1)]
-    fds = ready_r, ready_w, free_r, free_w = *os.pipe(), *os.pipe()
-
-    def produce():
-        for k, batch in enumerate(_draws(rng, n, scale)):
-            if k > 1:
-                os.read(free_r, 1)
-            for slot, values in zip(slots[k % 2], batch):
-                slot[:] = values
-            os.write(ready_w, b"r")
-
-    try:
-        with _in_child(produce) as wait:
-            os.close(ready_w)  # so the producer's end is the last: EOF once it ends
-            fds = ready_r, free_r, free_w
-            for k in itertools.count():
-                if not os.read(ready_r, 1):
-                    wait()  # produce never returns: this raises its exception, or one KinexError
-                yield slots[k % 2]
-                os.write(free_w, b"f")  # this process holds free_r: no BrokenPipeError
-    finally:
-        for fd in fds:
-            os.close(fd)
-
-
 def _run(config: SimConfig, balances: np.ndarray, mirror: np.ndarray | None, on_snapshot) -> int:
     """Drive the event loop; calls on_snapshot(t) at each requested time.
 
@@ -277,23 +267,30 @@ def _run(config: SimConfig, balances: np.ndarray, mirror: np.ndarray | None, on_
     read through memoryviews of the draw arrays (no copy; they yield the
     same Python ints and floats) and applied to a list of the primary, then
     of the mirror (the two never interact), copied back at each snapshot.
-    Rounds over list ns/event (8 batches, best of 3, 2-vCPU x86):
-    one population 254/78 at N = 1e3, 133/78 at 3e3, 79/77 at 1e4, 50/85
-    at 3e4, 35/132 at 1e5; two populations 287/161 at 1e3, 145/154 at 3e3,
-    86/150 at 1e4, 59/175 at 3e4, 44/234 at 1e5. The switch stays at 3e4,
-    above both crossovers. After every batch the total is checked afresh; a
-    list is summed by builtin sum (43 µs at N = 1e4, against 214 µs for
-    np.sum of a copy). Its rounding is at most (N - 1) 2^-53 relative for
-    nonnegative balances: 1.1e-12 at N = 1e4 and 3.3e-12 just below
-    _IN_PLACE_AGENTS, 300x or more under _SELF_CHECK_RTOL.
+    Rounds over list ns/event (8 batches, best of 3, 2-vCPU x86): one
+    population 160/75 at N = 1e3, 74/76 at 3e3, 45/77 at 1e4, 30/79 at 3e4,
+    28/111 at 1e5; two populations 179/150 at 1e3, 87/148 at 3e3, 55/150 at
+    1e4, 39/178 at 3e4, 39/230 at 1e5. The switch sits at 1e4, above both
+    crossovers. After every batch the total is checked afresh; a list is
+    summed by builtin sum (43 µs at N = 1e4, against 214 µs for np.sum of a
+    copy). Its rounding is at most (N - 1) 2^-53 relative for nonnegative
+    balances: 1.1e-12 just below _IN_PLACE_AGENTS, 900x under
+    _SELF_CHECK_RTOL.
 
     A run with one population and at least _PRODUCER_BATCHES expected
-    batches draws in a producer (_produced) if os has fork and no other
-    Python thread runs, so never in a forked child, where _in_child's
+    batches draws in a producer (_producer._produced) if os has fork and no
+    other Python thread runs, so never in a forked child, where _in_child's
     orphan thread runs; the rest draw in process (_draws). Producer vs
     in-process wall at N = 1e4 (20 alternating pairs, 2-vCPU x86): 4 batches
     +13%, 8 -1%, 12 -8%, 16 -18%, 32 -10%, against a fixed 6.8 ms for fork,
-    first batch and reap.
+    first batch and reap. In rounds, the producer also puts every
+    _PRODUCER_STRIDE-th chunk of a batch that holds no cut in round order:
+    at N = 1e4 that costs it 41 ns/event of the chunk, and applying the
+    chunk then costs 12, against 45 in rounds. simulate at figure1's size
+    (N = 1e4 to t = 1000, 5.0e6 events, median of 5): list 0.380 s, rounds
+    in process 0.308, rounds beside a producer 0.238, and with every 2nd,
+    3rd or 4th chunk scheduled 0.202, 0.185 or 0.197. The loop waits on
+    "ready" 0.05-0.08 s in all at every 2nd, 0.003-0.010 s at every 3rd.
     """
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     n = config.n_agents
@@ -314,14 +311,19 @@ def _run(config: SimConfig, balances: np.ndarray, mirror: np.ndarray | None, on_
     events = 0
     forked = (mirror is None and config.total_rate() * config.t_final >= _PRODUCER_BATCHES * _BATCH
               and hasattr(os, "fork") and threading.active_count() == 1)
-    with contextlib.closing(_produced(rng, n, scale) if forked else _draws(rng, n, scale)) as batches:
-        for times, ii, jj, uu in batches:
+    batches = _draws(rng, n, scale)
+    if forked:
+        from ._producer import _produced  # only runs that fork a producer compile it
+
+        batches = _produced(batches, n, cut_times)
+    with contextlib.closing(batches):
+        for times, ii, jj, uu, *plan in batches:
             start = 0
             # the cuts due in this batch, plus the first one at or past its last event
             due = cut_times[snap_idx : np.searchsorted(cut_times, times[-1]) + 1]
             for stop in np.searchsorted(times, due, side="right").tolist():
                 if rounds:
-                    _apply_rounds(arrays, ii[start:stop], jj[start:stop], uu[start:stop], first)
+                    _apply_rounds(arrays, ii[start:stop], jj[start:stop], uu[start:stop], first, *plan)
                 else:
                     segment = ii[start:stop].data, jj[start:stop].data, uu[start:stop].data
                     for pop in pops:

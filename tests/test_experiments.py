@@ -527,6 +527,37 @@ def test_failed_fork_is_one_error_line_and_closes_what_it_opened(argv, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+# a CLI run that appends to the file sys.argv[1] the name of every module that a process
+# other than this one imports: a forked child must import nothing (_fork._in_child)
+IMPORTS_MAIN = """
+import os, sys
+from kinex import cli
+
+parent, record = os.getpid(), os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+
+class Recorder:
+    def find_spec(self, name, path=None, target=None):
+        if os.getpid() != parent:
+            os.write(record, (name + "\\n").encode())
+        return None
+
+sys.meta_path.insert(0, Recorder())
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--n", "10000", "--t", "80"], ["study", "--study", "contraction"],
+                                  ["study", "--study", "chaos", *CHAOS_GOLDEN]], ids=["producer", "contraction", "chaos"])
+def test_no_forked_child_imports_a_module(argv, tmp_path):
+    """Each forked child, the producer's round schedule included, imports no module; each run is a fresh interpreter."""
+    record = tmp_path / "imports.txt"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", IMPORTS_MAIN, str(record), *argv, "--out", str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert record.read_text() == ""
+
+
 class TestChaosScaling:
     def test_small_study_passes(self):
         with warnings.catch_warnings():

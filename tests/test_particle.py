@@ -164,12 +164,11 @@ class TestSimulate:
                     pt.simulate(config, init)
 
     def test_self_check_sees_a_small_drift_in_a_list(self, monkeypatch):
-        # the list path sums its balances with builtin sum: at N = 1e4 its rounding must stay
-        # far enough under the 1e-9 bound that a drift of 1e-8 of the total still shows
-        n, apply, corrupted = 10_000, pt._apply, []
+        # the list path sums its balances with builtin sum: at its largest N its rounding must
+        # stay far enough under the 1e-9 bound that a drift of 1e-8 of the total still shows
+        n, apply, corrupted = pt._IN_PLACE_AGENTS - 1, pt._apply, []
         init = pt.make_initial("exponential:1", n, np.random.SeedSequence(0))
         config = pt.SimConfig(n_agents=n, t_final=2.0)  # ~10 000 events, one batch
-        assert n < pt._IN_PLACE_AGENTS
         pt.simulate(config, init)  # no drift: no error
 
         def corrupting_apply(bal, ii, jj, uu):
@@ -335,6 +334,75 @@ class TestApplyRounds:
         assert runs[0] == runs[1]
 
 
+class TestScheduledRounds:
+    """Chunks that the draw producer put in round order (_producer._schedule) give the bytes of _apply."""
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("populations", [1, 2])
+    @pytest.mark.parametrize("n", [10_000, 30_000])
+    def test_one_batch(self, n, populations, stride):
+        """Every chunk edge of a batch: scheduled chunks side by side (stride 1), and beside chunks in rounds."""
+        from kinex._producer import _schedule
+
+        chunk = pt._chunk(n)
+        _, ii, jj, uu = next(pt._draws(np.random.default_rng(n), n, 1.0))
+        rng = np.random.default_rng(1)
+        arrays = tuple(rng.exponential(2.0, n) for _ in range(populations))
+        expected = []
+        for arr in arrays:
+            bal = arr.tolist()
+            pt._apply(bal, ii.data, jj.data, uu.data)
+            expected.append(np.array(bal).tobytes())
+        first = np.full(n, pt._ROUND_EVENTS, np.int32)
+        events = ii.copy(), jj.copy(), uu.copy()
+        counts, ends = np.zeros(pt._BATCH // chunk, np.int16), np.zeros(pt._BATCH, np.int16)
+        _schedule(*events, counts, ends, first, chunk, stride)
+        assert [count > 0 for count in counts] == [c % stride == stride - 1 for c in range(len(counts))]
+        assert np.all(first == pt._ROUND_EVENTS)
+        for lo in range(0, pt._BATCH, chunk):  # each chunk keeps its own events, reordered where scheduled
+            drawn, held = (list(zip(*(e[lo : lo + chunk].tolist() for e in group))) for group in ((ii, jj, uu), events))
+            assert sorted(drawn) == sorted(held) and (drawn != held) == (counts[lo // chunk] > 0)
+        pt._apply_rounds(arrays, *events, first, counts, ends)
+        assert [arr.tobytes() for arr in arrays] == expected
+        assert np.all(first == pt._ROUND_EVENTS)
+
+    @pytest.mark.parametrize("n", [10_000, 30_000])
+    def test_simulate_cut_inside_a_scheduled_chunk(self, n, monkeypatch):
+        """Five batches through the producer, its threshold lowered to 2, against the same run without fork and in a list.
+
+        Cuts: one at the last event of batch 1, one inside batch 2's first
+        chunk that the producer would schedule, and t_final inside batch 4;
+        only batches 0, 1 and 3 come scheduled.
+        """
+        monkeypatch.setattr(pt, "_PRODUCER_BATCHES", 2)
+        seed, chunk = 6, pt._chunk(n)
+        scale = 1.0 / pt.SimConfig(n_agents=n, t_final=1.0).total_rate()
+        draws = pt._draws(np.random.default_rng(np.random.SeedSequence(seed)), n, scale)
+        times = [next(draws)[0] for _ in range(5)]
+        inside = (pt._PRODUCER_STRIDE - 1) * chunk + chunk // 2
+        last = pt._BATCH // 2
+        config = pt.SimConfig(n_agents=n, t_final=float(times[4][last]), seed=seed,
+                              snapshot_times=(float(times[1][-1]), float(times[2][inside])))
+        init = pt.make_initial("exponential:2", n, np.random.SeedSequence(3))
+        apply_rounds, calls = pt._apply_rounds, []
+
+        def recording(arrays, ii, jj, uu, first, *plan):
+            calls.append((len(ii), bool(plan) and bool(plan[0].any())))
+            apply_rounds(arrays, ii, jj, uu, first, *plan)
+
+        monkeypatch.setattr(pt, "_apply_rounds", recording)
+        forks = record_forks(monkeypatch)
+        forked = TestDrawProducer.outcome(pt.simulate(config, init))
+        assert len(forks) == 1
+        whole = (pt._BATCH, True)
+        assert calls == [whole, whole, (0, False), (inside + 1, False), (pt._BATCH - inside - 1, False), whole,
+                         (last + 1, False)]
+        monkeypatch.delattr(os, "fork")
+        assert TestDrawProducer.outcome(pt.simulate(config, init)) == forked
+        monkeypatch.setattr(pt, "_IN_PLACE_AGENTS", 10**9)
+        assert TestDrawProducer.outcome(pt.simulate(config, init)) == forked
+
+
 def _digest(arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
@@ -440,7 +508,7 @@ PRODUCER_MAIN = """
 import os, sys, time
 from kinex import cli, particle as pt
 
-real_fork, real_apply, pids = os.fork, pt._apply, []
+real_fork, real_rounds, pids = os.fork, pt._apply_rounds, []
 
 def fork():
     pid = real_fork()
@@ -448,19 +516,19 @@ def fork():
         pids.append(pid)
     return pid
 
-def apply(bal, ii, jj, uu):
+def apply_rounds(arrays, ii, jj, uu, first, *plan):
     if pids:
         print(pids.pop(), flush=True)
         time.sleep(60)
-    real_apply(bal, ii, jj, uu)
+    real_rounds(arrays, ii, jj, uu, first, *plan)
 
-os.fork, pt._apply = fork, apply
+os.fork, pt._apply_rounds = fork, apply_rounds
 sys.exit(cli.main(sys.argv[1:]))
 """
 
 
 class TestDrawProducer:
-    """A long single-population run takes its draws from one forked producer (particle._produced)."""
+    """A long single-population run takes its draws from one forked producer (_producer._produced)."""
 
     @staticmethod
     def outcome(traj: pt.ParticleTrajectory) -> tuple:
@@ -522,16 +590,16 @@ class TestDrawProducer:
         assert self.outcome(pt.simulate(config, init)) == self.outcome(beside) and len(forks) == 1
 
     def test_error_mid_run_reaps_the_producer(self, monkeypatch):
-        apply, calls = pt._apply, []
+        apply_rounds, calls = pt._apply_rounds, []
 
-        def failing_apply(bal, ii, jj, uu):
+        def failing_rounds(arrays, ii, jj, uu, first, *plan):
             calls.append(True)
             if len(calls) == 3:
                 raise DataError("an event went wrong")
-            apply(bal, ii, jj, uu)
+            apply_rounds(arrays, ii, jj, uu, first, *plan)
 
         forks = record_forks(monkeypatch)
-        monkeypatch.setattr(pt, "_apply", failing_apply)
+        monkeypatch.setattr(pt, "_apply_rounds", failing_rounds)
         with pytest.raises(DataError, match="an event went wrong") as info:
             pt.simulate(pt.SimConfig(**LONG), pt.make_initial("constant:10", LONG["n_agents"]))
         assert len(forks) == 1
@@ -558,14 +626,14 @@ class TestDrawProducer:
         assert type(info.value) is DataError and str(info.value) == "a draw went wrong in the producer"
 
     def test_killed_producer_is_one_error_line(self, tmp_path, capsys, monkeypatch):
-        apply, forks = pt._apply, record_forks(monkeypatch)
+        apply_rounds, forks = pt._apply_rounds, record_forks(monkeypatch)
 
-        def apply_after_kill(bal, ii, jj, uu):
+        def rounds_after_kill(arrays, ii, jj, uu, first, *plan):
             if forks:  # the first batch is here: kill its producer
                 os.kill(forks.pop(), signal.SIGKILL)
-            apply(bal, ii, jj, uu)
+            apply_rounds(arrays, ii, jj, uu, first, *plan)
 
-        monkeypatch.setattr(pt, "_apply", apply_after_kill)
+        monkeypatch.setattr(pt, "_apply_rounds", rounds_after_kill)
         code = main(["simulate", "--n", "10000", "--t", "80", "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 1
