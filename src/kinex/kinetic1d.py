@@ -11,9 +11,13 @@ centers so it never touches m = 0.
 The self-convolution is one real FFT on every grid, for the gain and D[q]
 alike; cells outside the sumset of q's support, where the exact
 convolution is 0, are set to 0. No step calls BLAS, whose summation order
-depends on the CPU, so a run writes the same bytes on every CPU for a given
-numpy version. Nothing is cached at module level: a density keeps its q*q
-in its own memo, so a record's D[q] and the next Euler step share one FFT.
+depends on the CPU. So for a given numpy version a run writes the same
+bytes on every CPU that numpy dispatches to the same SIMD loops: without
+AVX512 numpy's exp and log round differently (the start densities and
+the diagnostics use them, a step does not), and without AVX2 so does the
+FFT's complex square. Nothing is cached at module level: a density keeps
+its q*q in its own memo, so a record's D[q] and the next Euler step share
+one FFT.
 
 Mass escaping beyond x_max is dropped, not renormalized, so conservation
 stays an honest diagnostic (see TrajectoryObserver's tail_mass).
@@ -52,6 +56,11 @@ class Grid1D:
         self.n_cells = int(n_cells)
         self.dx = self.x_max / self.n_cells
         self.nodes = (np.arange(self.n_cells) + 0.5) * self.dx
+        # m / dx at the 2M - 1 cells of q*q, last cell first: gain's shell divisor. It is made
+        # with the grid: made at a solve's first step, amid the first record's temporaries,
+        # it doubled the page faults of most pde runs (M = 10^4).
+        self._shell_divisor = np.arange(2 * self.n_cells - 1, 0, -1, dtype=float)
+        self._shell_divisor.setflags(write=False)
 
     @classmethod
     def from_spacing(cls, x_max: float, dx: float) -> "Grid1D":
@@ -78,7 +87,19 @@ class GridDensity1D:
 
     Instances are treated as immutable: every operation returns a new
     density, so snapshots never alias solver state and _memo (name -> a
-    value derived from this density, such as its q*q) never goes stale.
+    value derived from this density, such as its q*q or its mean) never
+    goes stale. A density owns its values, a read-only copy of its input
+    in which values in [-1e-14, 0) read as 0 (step_euler refuses any value
+    below 0 before it builds its new state).
+
+    mass is computed when the density is built, since every step's gain
+    checks it; mean is computed on first read, by the same expression,
+    and kept in _memo. Only records, save_density and the studies read it.
+
+    A step's new state copies the step's sum too. Keeping that sum without
+    the copy, or building it in place in gain's array, doubled the page
+    faults of most pde runs (M = 10^4, where the heap is then given back
+    and faulted in again) and raised their peak by about 0.3 MB.
     """
 
     def __init__(self, grid: Grid1D, values: np.ndarray):
@@ -93,8 +114,15 @@ class GridDensity1D:
         self.values = np.where(values < 0, 0.0, values)
         self.values.setflags(write=False)
         self.mass = float(np.sum(self.values) * grid.dx)
-        self.mean = float(np.sum(grid.nodes * self.values) * grid.dx)
         self._memo: dict = {}
+
+    @property
+    def mean(self) -> float:
+        """Discrete mean, sum of x q(x) dx, computed on first read and kept in _memo."""
+        mean = self._memo.get("mean")
+        if mean is None:  # two threads reading it first compute the same float
+            mean = self._memo["mean"] = float(np.sum(self.grid.nodes * self.values) * self.grid.dx)
+        return mean
 
     def moment(self, k: int) -> float:
         """Discrete k-th moment, sum of x^k q(x) dx."""
@@ -155,7 +183,18 @@ def _fft_square(v: np.ndarray) -> np.ndarray:
     """The 2*len(v) - 1 values of the linear self-convolution of v, by one real FFT."""
     n = 2 * v.size - 1
     nfft = 1 << (n - 1).bit_length()
-    return np.fft.irfft(np.fft.rfft(v, nfft) ** 2, nfft)[:n]
+    spectrum = np.fft.rfft(v, nfft)
+    np.square(spectrum, out=spectrum)  # the ufunc that spectrum ** 2 calls, without a second spectrum
+    return np.fft.irfft(spectrum, nfft)[:n]
+
+
+def _hull(v: np.ndarray) -> tuple[int, int, int]:
+    """(a, b, count): the first and last nonzero cells of v and how many cells are nonzero; (0, -1, 0) for none."""
+    nonzero = v != 0
+    count = int(np.count_nonzero(nonzero))
+    if not count:
+        return 0, -1, 0
+    return int(nonzero.argmax()), v.size - 1 - int(nonzero[::-1].argmax()), count
 
 
 def self_convolution(q: GridDensity1D) -> np.ndarray:
@@ -177,10 +216,10 @@ def self_convolution(q: GridDensity1D) -> np.ndarray:
         return c
     v = q.values
     c = _fft_square(v)
-    nonzero = np.flatnonzero(v)
-    if nonzero.size and nonzero[-1] - nonzero[0] + 1 == nonzero.size:
-        c[: 2 * nonzero[0]] = 0.0
-        c[2 * nonzero[-1] + 1 :] = 0.0
+    a, b, count = _hull(v)
+    if count and b - a + 1 == count:
+        c[: 2 * a] = 0.0
+        c[2 * b + 1 :] = 0.0
     else:
         c[np.rint(_fft_square(v > 0)) == 0] = 0.0
     # convolution of nonnegative sequences; FFT round-off may dip below 0
@@ -203,9 +242,10 @@ def gain(q: GridDensity1D) -> np.ndarray:
     if not 0.9 <= q.mass <= 1.1:
         raise DomainError(f"gain expects a (near-)probability density, mass={q.mass}")
     c = self_convolution(q)
-    shells = c / np.arange(1, c.size + 1)  # c(m)/m * dx at m = (k+1) dx
-    tail = np.cumsum(shells[::-1])[::-1]
-    return tail[: q.grid.n_cells].copy()  # a view would keep the whole 2M - 1 cumsum alive
+    # c(m)/m * dx at m = (k+1) dx, last cell first; the cumsum writes a new array, because
+    # numpy runs a cumsum into its own input without releasing the GIL, and a record waits
+    tail = np.cumsum(np.divide(c[::-1], q.grid._shell_divisor))
+    return tail[: -q.grid.n_cells - 1 : -1].copy()  # a view would keep the whole 2M - 1 cumsum alive
 
 
 def _check_dt(dt: float) -> None:
@@ -243,10 +283,15 @@ def step_euler(q: GridDensity1D, dt: float) -> GridDensity1D:
     representable, so fl(g - q) >= -q. With dt <= 1, dt * fl(g - q) lies
     between fl(g - q) and 0, so by the same argument fl(dt * fl(g - q))
     >= -q. Hence q + fl(dt * fl(g - q)) >= 0, before and after rounding,
-    and no clipping is needed.
+    and no clipping is needed: a value below 0 in the new state is an
+    error (DomainError), not rounding noise that the density would read
+    as 0.
     """
     _check_dt(dt)
-    return GridDensity1D(q.grid, q.values + dt * (gain(q) - q.values))
+    new = q.values + dt * (gain(q) - q.values)
+    if new.min(initial=0.0) < 0:
+        raise DomainError(f"negative density value {new.min()} in a step's new state")
+    return GridDensity1D(q.grid, new)
 
 
 class _RecordThread:

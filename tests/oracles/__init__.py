@@ -11,7 +11,8 @@ one-event reshuffle the particle kernel is checked against. Beside it:
 - ``moments``: the closed moment hierarchy;
 - ``spectral``: the Laguerre analysis of the linearized flow;
 - ``kinetic2d``: the pair-density solver;
-- ``entropy``: the paper's entropy inequalities on the grid.
+- ``entropy``: the paper's entropy inequalities on the grid;
+- ``step``: the forward Euler step in its one-expression form.
 
 Only small grids and spectra are fed to them.
 """

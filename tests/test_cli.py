@@ -441,7 +441,7 @@ class TestPde:
 
 
 class TestGoldenArtifacts:
-    """SHA-256 of every file six runs write, manifest included.
+    """SHA-256 of every file seven runs write, manifest included.
 
     Any change to an artifact's bytes fails here; update a hash only for an
     intended change of output. The pde start has 120 zero cells, so its
@@ -450,6 +450,9 @@ class TestGoldenArtifacts:
     second chaos replica go through a forked child, so in chaos_full the
     20 replicas at N = 10^4 are split over both processes. No run reaches
     BLAS, so each hash holds under every OpenBLAS kernel (TestCrossKernel).
+    The hashes do depend on numpy's own SIMD dispatch: on a CPU without
+    AVX512, numpy's exp, log, power, expm1 and log1p round differently,
+    and the pde, figure1, chaos, chaos_full and entropy hashes change.
     """
 
     CASES = {
@@ -500,6 +503,14 @@ class TestGoldenArtifacts:
                 "manifest.json": "b75e09093f8373f2b337041ef20fdfeeda5e448f186189df1128a194e3d37604",
                 "report.json": "f1e2b11b82a42a4dc600b89f4a7ffcdc86e5f7bf8d1c485b96bdd0dc5cafafe0",
                 "series.csv": "a70b579c8bf83a9fa093aa446fce39d33b2deaecad7ba7916abe7d2c996a39e1",
+            },
+        ),
+        "entropy": (  # a record at each of its 201 steps, and the mean in its conservation check
+            ["study", "--study", "entropy"],
+            {
+                "manifest.json": "b3716416df1313928ac5a777dc4c5933445191ebeb906caad7429c1ee2a19a97",
+                "report.json": "c9889e233ef8cbff6e6538b9b09bd140da54e3a5a56d172552f82d43d6897ec4",
+                "series.csv": "1a1121c4a173c130c52d06913fe27f37c40bceef2d132f9ee355e892f1435b43",
             },
         ),
     }

@@ -1,5 +1,8 @@
+import json
 import math
+import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -28,7 +31,10 @@ from kinex.kinetic1d import (
 )
 from conftest import Recorder, compact_random_density
 from oracles import dirac_density, direct_self_convolution
+from oracles import step as one_expression
 from oracles.moments import m2_closed_form
+
+SRC = os.path.dirname(os.path.dirname(kinetic1d.__file__))
 
 
 def gain_quadrature_oracle(density_fn, x):
@@ -300,6 +306,153 @@ class TestStepEuler:
         solve(uniform02, 2.0, 0.5, snapshot_times=np.arange(0, 2.1, 0.5), observers=(rec,))
         for snap in rec.snapshots:
             assert snap.values.min() >= 0.0
+
+
+def supported_on(grid, kind, seed=0):
+    """A normalized density on an interval of cells, on cells with gaps, or on one cell."""
+    m = grid.n_cells
+    rng = np.random.default_rng(seed)
+    values = np.zeros(m)
+    if kind == "interval":
+        values[m // 8 : m // 2 + 1] = rng.uniform(0.5, 1.5, m // 2 + 1 - m // 8)
+    elif kind == "gapped":
+        cells = np.arange(1, m // 2, 3)  # two empty cells after each
+        values[cells] = rng.uniform(0.5, 1.5, cells.size)
+    else:
+        values[m // 3] = 1.0
+    return GridDensity1D(grid, values).normalized()
+
+
+def same_bytes(a: GridDensity1D, b: GridDensity1D) -> bool:
+    return (a.values.tobytes(), a.mass.hex(), a.mean.hex()) == (b.values.tobytes(), b.mass.hex(), b.mean.hex())
+
+
+class TestStepOracle:
+    """The step against its one-expression form (oracles.step), byte for byte."""
+
+    @pytest.mark.parametrize("kind", ["interval", "gapped", "one_cell"])
+    @pytest.mark.parametrize("m", [16, 17, 2000, 10_000])
+    def test_same_bytes(self, m, kind):
+        grid = Grid1D(20.0, m)
+        q = supported_on(grid, kind, seed=m)
+        a, b, count = kinetic1d._hull(q.values)
+        assert (b - a + 1 == count) == (kind != "gapped")
+        assert self_convolution(q).tobytes() == one_expression.self_convolution(q).tobytes()
+        assert gain(q).tobytes() == one_expression.gain(q).tobytes()
+        stepped, expected = q, q
+        for _ in range(3):  # the second and third steps start from a support the gain spread out
+            stepped, expected = step_euler(stepped, 0.05), one_expression.step_euler(expected, 0.05)
+            assert same_bytes(stepped, expected)
+
+    @pytest.mark.parametrize("kind", ["interval", "gapped"])
+    @pytest.mark.parametrize("m", [16, 17, 2000, 10_000])
+    def test_same_bytes_from_a_file_with_negative_noise(self, m, kind, tmp_path):
+        """Values in [-1e-14, 0) in a density file read as 0; the step from it matches the oracle."""
+        grid = Grid1D(20.0, m)
+        values = supported_on(grid, kind, seed=3).values.copy()
+        zeros = np.flatnonzero(values == 0)
+        values[zeros[::3]] = -np.random.default_rng(4).uniform(1e-16, 1e-14, zeros[::3].size)
+        path = tmp_path / "noisy.csv"
+        rows = "".join(f"{x!r},{v!r}\r\n" for x, v in zip(grid.nodes.tolist(), values.tolist()))
+        path.write_text("x,value\r\n" + rows, newline="")
+        (tmp_path / "noisy.csv.json").write_text(json.dumps({"x_max": grid.x_max, "n_cells": grid.n_cells}))
+        q = load_density(str(path))
+        assert np.all(q.values[zeros] == 0.0) and q.values.min() == 0.0
+        assert same_bytes(step_euler(q, 0.1), one_expression.step_euler(q, 0.1))
+
+    @pytest.mark.parametrize("cells", [[], [0], [15], [0, 15], [4, 5, 6], [2, 9, 10], list(range(16))])
+    def test_hull_matches_flatnonzero(self, cells):
+        v = np.zeros(16)
+        v[cells] = 0.5
+        assert kinetic1d._hull(v) == one_expression.hull(v)
+
+
+class TestStepDensity:
+    """A step's new state: owned, read-only, never clipped, with its mean computed on first read."""
+
+    def test_owns_its_values(self, uniform02):
+        stepped = step_euler(uniform02, 0.1)
+        c = self_convolution(uniform02)
+        assert stepped.values.base is None and stepped.values.flags.owndata
+        assert not np.shares_memory(stepped.values, c) and not np.shares_memory(stepped.values, uniform02.values)
+        assert not stepped.values.flags.writeable
+        with pytest.raises(ValueError):
+            stepped.values[0] = 1.0
+
+    def test_negative_gain_cell_raises_instead_of_clipping(self, uniform02, monkeypatch):
+        """A cell that would come out at -1e-16 is an error in a step; the constructor reads it as 0."""
+        real_gain = kinetic1d.gain
+        cell = int(np.flatnonzero(real_gain(uniform02) == 0)[0])  # q = 0 and Q+[q] = 0 here
+
+        def one_negative_cell(q):
+            g = real_gain(q)
+            g[cell] = -1e-15
+            return g
+
+        monkeypatch.setattr(kinetic1d, "gain", one_negative_cell)
+        with pytest.raises(DomainError, match="negative density value"):
+            step_euler(uniform02, 0.1)
+        unclipped = uniform02.values + 0.1 * (one_negative_cell(uniform02) - uniform02.values)
+        assert -1e-14 < unclipped[cell] < 0 and GridDensity1D(uniform02.grid, unclipped).values[cell] == 0.0
+
+    def test_mean_is_computed_on_first_read(self, uniform02):
+        stepped = step_euler(uniform02, 0.1)
+        assert "mean" not in stepped._memo
+        assert stepped.mean.hex() == one_expression.mean(stepped).hex()
+        assert stepped._memo["mean"] is stepped.mean
+
+    def test_mean_read_first_on_the_record_thread(self, uniform02, deadline):
+        """A record reads each state's mean first, on the record thread: the bits of the eager expression."""
+        seen = []
+        solve(uniform02, 0.5, 0.05, snapshot_times=np.arange(11) * 0.05,
+              observers=(lambda t, q: seen.append((q, "mean" in q._memo, q.mean, threading.get_ident())),))
+        assert len(seen) == 11 and not any(read for _, read, _, _ in seen[1:])
+        assert all(thread != threading.get_ident() for *_, thread in seen)
+        assert all(mean.hex() == one_expression.mean(q).hex() for q, _, mean, _ in seen)
+
+
+# the solve of a uniform start, which calls no exp or log, at the grid sizes of contraction and pde
+SIMD_SOLVE = """
+import hashlib, json, sys
+from kinex.kinetic1d import Grid1D, solve, uniform_density
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
+out = {"on": [f for f in sys.argv[1:] if __cpu_features__.get(f)]}
+for m, steps in ((2000, 1000), (10_000, 200)):
+    q = solve(uniform_density(Grid1D(20.0, m), 0.0, 2.0), steps * 0.01, 0.01)
+    out[m] = [hashlib.sha256(q.values.tobytes()).hexdigest(), q.mass.hex(), q.mean.hex()]
+print(json.dumps(out))
+"""
+
+
+def avx512_dispatch() -> list:
+    """The AVX512 targets numpy dispatches to on this CPU: none where the CPU or numpy's build has none."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [f for f in __cpu_dispatch__ if (f == "X86_V4" or f.startswith("AVX512")) and __cpu_features__.get(f)]
+
+
+@pytest.mark.skipif(not avx512_dispatch(), reason="numpy dispatches no AVX512 code on this CPU")
+def test_step_bytes_do_not_depend_on_avx512():
+    """A solve that calls no exp or log writes the same bytes with numpy's AVX512 dispatch turned off.
+
+    The goldens that call exp, log, power, expm1 or log1p do change
+    without AVX512; this guards that the step itself adds no operation
+    whose bits depend on it.
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    features, runs = avx512_dispatch(), []
+    for disabled in ("", " ".join(features)):
+        probe = subprocess.run([sys.executable, "-c", SIMD_SOLVE, *features],
+                               env={**env, "NPY_DISABLE_CPU_FEATURES": disabled}, capture_output=True, text=True, check=True)
+        runs.append(json.loads(probe.stdout))
+    assert runs[0].pop("on") == features and runs[1].pop("on") == []  # the second child dispatched no AVX512
+    assert runs[0] == runs[1]
 
 
 class TestSolve:

@@ -410,6 +410,14 @@ def _digest(arrays) -> str:
     return h.hexdigest()
 
 
+# one below the rounds threshold, so the list loop: four draw batches, with cuts inside the first and the second
+LIST_LOOP_AT_ITS_LARGEST = (
+    dict(n_agents=9_999, t_final=20.0, seed=9, snapshot_times=(5.0, 12.5)), "constant:10", 100063,
+    "93ed5b89aec673a9805ef5c278d3e8e219d76726d1f7cd59f80a8b335042df5e",
+    "14dfe4cfab1163ed2b98327e8d75b63373dec9a1e887b60e0a1219d0c3d497a2",
+)
+
+
 class TestGoldenStreams:
     """Event counts and state hashes pinned from the per-event reference loop.
 
@@ -459,11 +467,12 @@ class TestGoldenStreams:
                 "a187571071d0e3fcdd3940f96d87c618bf2a982276de03006fc7a7bde53fcc2f",
                 "6dd3bf12d62e89206886a9f1373a2a1c3795dfb748e7ba420e16c85a6d796f4c",
             ),
-            (  # the figure1 population and start, list state across four draw batches
+            (  # the figure1 population and start, in numpy rounds across four draw batches
                 dict(n_agents=10_000, t_final=20.0, seed=9), "constant:10", 100072,
                 "42f0af6723633f61347207440dde2179d7702122cab9c86c9f492f50d825d9da",
                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
             ),
+            LIST_LOOP_AT_ITS_LARGEST,
         ],
     )
     def test_simulate(self, kwargs, init, events, final_sha, snaps_sha):
@@ -472,6 +481,21 @@ class TestGoldenStreams:
         assert traj.event_count == events
         assert _digest([traj.final.balances]) == final_sha
         assert _digest([traj.times] + [s.balances for s in traj.snapshots]) == snaps_sha
+
+    def test_list_loop_at_its_largest_matches_rounds(self, monkeypatch):
+        """The pinned N = _IN_PLACE_AGENTS - 1 run goes through the list loop; in rounds its draws give the same bytes."""
+        kwargs, init, events, final_sha, snaps_sha = LIST_LOOP_AT_ITS_LARGEST
+        n = kwargs["n_agents"]
+        assert n == pt._IN_PLACE_AGENTS - 1
+        apply_rounds, calls = pt._apply_rounds, []
+        monkeypatch.setattr(pt, "_apply_rounds", lambda *args: calls.append(1) or apply_rounds(*args))
+        runs = []
+        for in_place_from in (pt._IN_PLACE_AGENTS, n):  # the list loop, then the rounds
+            monkeypatch.setattr(pt, "_IN_PLACE_AGENTS", in_place_from)
+            traj = pt.simulate(pt.SimConfig(**kwargs), pt.make_initial(init, n, np.random.SeedSequence(n)))
+            runs.append((traj.event_count, _digest([traj.final.balances]),
+                         _digest([traj.times] + [s.balances for s in traj.snapshots]), bool(calls)))
+        assert runs == [(events, final_sha, snaps_sha, False), (events, final_sha, snaps_sha, True)]
 
     @pytest.mark.parametrize(
         "kwargs, m1, events, msd_sha",
