@@ -18,6 +18,14 @@ taken a block of the u-grid at a time. The second argument is the
 reference side: a grid density there keeps its CDF in its memo, so a
 trajectory's equilibrium is built once. The first argument's CDF is built
 per call.
+
+A record evaluates each functional in few numpy passes, with the floats
+of its plain form (tests/oracles/records.py checks them bit for bit): W1
+of two densities on one grid reads both CDFs from their tables, as
+np.interp returns a table value exactly at a breakpoint; x log y skips
+its mask when every x is positive; the Laplace profile takes several
+lambdas per pass through one buffer no larger than W2's; and the
++inf rule of D reads the support's hull without an index array.
 """
 
 from __future__ import annotations
@@ -30,16 +38,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, KinexError
-from .kinetic1d import Equilibrium, GridDensity1D, self_convolution
+from .kinetic1d import Equilibrium, GridDensity1D, _hull, self_convolution
 from .kinetic1d import gain  # noqa: F401  unused here; perfbench/selftest.py checks the tracer rebinds it
 
 _LAPLACE_POINTS = 64  # lambda grid of the damped Laplace transform
 _W2_POINTS = 1 << 16  # u-grid of the W2 quantile coupling
 _QUANTILE_BLOCK = 1 << 13  # u-grid points W2 inverts at a time
+_EPS = float(np.finfo(float).eps)
+_D_ROUNDING = 2.0  # K of dissipation's bound K * eps * M * size on a negative D
 
 
 def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x * log(y) with the 0 * log 0 convention (x = 0 contributes 0)."""
+    """x * log(y) with the 0 * log 0 convention (x = 0 contributes 0).
+
+    When every x is positive, the mask selects every cell, so x * np.log(y)
+    is the masked form's product on the same values, cell for cell; the
+    mask, its two gathers and the zeroed output are made only otherwise.
+    """
+    if x.size and x.min() > 0:
+        return x * np.log(y)
     out = np.zeros_like(x, dtype=float)
     mask = x > 0
     out[mask] = x[mask] * np.log(y[mask])
@@ -81,12 +98,14 @@ def _check_positive_where_needed(v: np.ndarray) -> bool:
       inside it, where no gap of S can hold all M of them.
 
     The decision reads only where v is zero: exact, no round-off, no FFT.
+    a, b and the count come from kinetic1d._hull, which makes no index
+    array; the index of the zero cells is built only when one exists.
     """
-    nonzero = np.flatnonzero(v)
-    if nonzero.size in (0, v.size):
+    a, b, count = _hull(v)
+    if count in (0, v.size):
         return False
     zero = np.flatnonzero(v == 0)
-    return bool(((zero <= 2 * nonzero[-1]) & (zero + v.size - 1 >= 2 * nonzero[0])).any())
+    return bool(((zero <= 2 * b) & (zero + v.size - 1 >= 2 * a)).any())
 
 
 def dissipation(q: GridDensity1D) -> float:
@@ -98,20 +117,31 @@ def dissipation(q: GridDensity1D) -> float:
     q must be strictly positive wherever the collision redistributes mass;
     otherwise the functional is genuinely infinite and the +inf sentinel is
     returned with a warning. The result is checked for nonnegativity (the
-    integrand is a sum of (a - b) log(a/b) terms); rounding-level negatives
-    are clamped to zero.
+    integrand is a sum of (a - b) log(a/b) terms). D = t1 + t2 adds four
+    terms, 4m * sum q log q and -2 * sum g log g (t1), +2 * sum g log g and
+    -4 * sum h log q (t2); near equilibrium each is far larger than D, and
+    at equilibrium D, t1 and t2 are all 0. So D's rounding error scales
+    with the size of the four terms, not with |t1| + |t2|, and with M, as
+    h comes from a sequential cumsum of 2M - 1 values. A negative D down to
+    _D_ROUNDING * eps * M * size reads as 0, where size is the sum of the
+    four terms' magnitudes; one below it raises. The worst ratio
+    D / (eps * M * size) measured was -0.10 (equilibria and uniform
+    densities on their own support, where D is 0 but for rounding, M = 16
+    to 262 144). No D came out negative on the pde reference run or in
+    study entropy, and two of the 370 in the tier-1 tests did, at ratios
+    down to -0.0005. K = _D_ROUNDING = 2 leaves 19x headroom.
     """
     if _check_positive_where_needed(q.values):
         warnings.warn("q vanishes where the gain is positive; D[q] = +inf", stacklevel=2)
         return math.inf
-    value = _diagonal_sums(q)
-    if value < -1e-9:
+    value, size = _diagonal_sums(q)
+    if value < -_D_ROUNDING * _EPS * q.grid.n_cells * size:
         raise KinexError(f"dissipation came out negative ({value}); integrand violated")
     return max(value, 0.0)
 
 
-def _diagonal_sums(q: GridDensity1D) -> float:
-    """D[q] as sums along diagonals; h_z is exactly 0 wherever q_z = 0.
+def _diagonal_sums(q: GridDensity1D) -> tuple[float, float]:
+    """(D[q], size of its terms) as sums along diagonals; h_z is exactly 0 wherever q_z = 0.
 
     dissipation has returned +inf if a zero cell z touches the hull
     [2a, 2b] of the support sumset with a diagonal in [z, z + M). Else
@@ -133,7 +163,7 @@ def _diagonal_sums(q: GridDensity1D) -> float:
     hlogq = float(_xlogy(h, np.where(v > 0, v, 1.0)).sum() * dx)
     t1 = 2.0 * (2.0 * q.mass * sq_logq - glogg)
     t2 = 2.0 * glogg - 4.0 * hlogq
-    return t1 + t2
+    return t1 + t2, 4.0 * (abs(q.mass * sq_logq) + abs(glogg) + abs(hlogq))
 
 
 # ---------------------------------------------------------------------------
@@ -141,20 +171,51 @@ def _diagonal_sums(q: GridDensity1D) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _laplace_rows(n_cells: int) -> int:
+    """lambdas per pass of laplace_profile: its (rows, M) buffer holds at most _W2_POINTS floats."""
+    return max(1, min(_LAPLACE_POINTS, _W2_POINTS // n_cells))
+
+
 def laplace_profile(q: GridDensity1D, lam0: float, C: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """(1 - C*lambda) * integral(exp(lambda x) q) on a lambda grid over [0, lam0].
 
-    Returns (lambdas, G values).
+    Returns (lambdas, G values). The transform is finite on the damped
+    range, so lam0 > 0 and C * lam0 < 1 are required; with the observer's
+    scale-invariant parameters (lam0 = 0.6/m1, C = m1), C * lam0 = 0.6 for
+    every mean m1, and lam0 itself may exceed 1 when m1 < 0.6.
+
+    Several lambdas go through one pass: a (rows, M) buffer takes
+    lambda * x, then exp in place, then the product with q in place, and
+    each row is summed along x. Every cell sees the operations and the
+    operands of the form with one lambda at a time and three temporaries
+    per lambda, and np.sum reduces each contiguous row of M values as it
+    reduced the one lambda's array, so G keeps its bits.
+
+    The buffer holds at most _W2_POINTS floats (512 KiB), as W2's gap
+    array does: 6 rows at M = 10^4, 64 (all of them) up to M = 1024, 1
+    above M = 32 768. glibc maps a block at or above its dynamic mmap
+    threshold, and freeing such a block raises the threshold to the
+    block's size and the heap's trim threshold to twice that. A record's W2
+    has set both by its gap array already; a bigger buffer (8 rows, 625 KiB
+    at M = 10^4) raised them again, and pde's peak RSS with them, by
+    0.3-0.5 MB on three of four benchmark seeds.
     """
-    if not 0 < lam0 < 1:
-        raise ConfigError(f"lam0 must be in (0, 1), got {lam0}")
-    if C * lam0 >= 1:
+    if not lam0 > 0:
+        raise ConfigError(f"lam0 must be positive, got {lam0}")
+    if not C * lam0 < 1:
         raise ConfigError(f"need C * lam0 < 1, got {C * lam0}")
     lams = np.linspace(0.0, lam0, _LAPLACE_POINTS)
-    dx = q.grid.dx
+    nodes, values, dx = q.grid.nodes, q.values, q.grid.dx
+    rows = _laplace_rows(nodes.size)
+    buffer = np.empty((rows, nodes.size))
     G = np.empty(_LAPLACE_POINTS)
-    for k, lam in enumerate(lams):
-        G[k] = (1.0 - C * lam) * float(np.sum(np.exp(lam * q.grid.nodes) * q.values) * dx)
+    for lo in range(0, _LAPLACE_POINTS, rows):
+        lam = lams[lo : lo + rows]
+        T = buffer[: lam.size]
+        np.multiply(lam[:, None], nodes, out=T)
+        np.exp(T, out=T)
+        T *= values
+        G[lo : lo + lam.size] = (1.0 - C * lam) * (np.sum(T, axis=1) * dx)
     return lams, G
 
 
@@ -227,15 +288,19 @@ def wasserstein1(p, r) -> float:
     """Exact 1-D W1: area between the two CDFs on merged breakpoints.
 
     Two densities on one grid share their edges, which strictly increase,
-    so those edges are the merged set as they stand.
+    so those edges are the merged set as they stand, and both CDFs are
+    their tables F there. np.interp returns the table value exactly at a
+    breakpoint (and 0 and 1 are F's first and last values), so the gaps
+    F_p - F_r at the left and right ends of the cells are the table's gap
+    d without it: d[:-1] and d[1:], one subtraction for both.
     """
     mp, mr = _measure(p), _measure(r, keep=True)
-    if mp.step or mr.step or not np.array_equal(mp.xs, mr.xs):
-        # np.union1d by np.unique's steps, which np.unique itself takes only after importing numpy.ma
-        breaks = np.sort(np.concatenate((mp.xs, mr.xs)))
-        breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
-    else:
-        breaks = mp.xs
+    if not (mp.step or mr.step) and np.array_equal(mp.xs, mr.xs):
+        d = mp.F - mr.F
+        return _area(np.diff(mp.xs), d[:-1], d[1:])
+    # np.union1d by np.unique's steps, which np.unique itself takes only after importing numpy.ma
+    breaks = np.sort(np.concatenate((mp.xs, mr.xs)))
+    breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
     a, b = breaks[:-1], breaks[1:]
     # on each open interval both CDFs are linear (constant for samples)
     dl = mp.cdf_right(a) - mr.cdf_right(a)
@@ -244,14 +309,18 @@ def wasserstein1(p, r) -> float:
     # left limits at b: step CDFs keep their value from a, linear ones hit F(b)
     dr_p = mp.cdf_right(a) if mp.step else np.interp(b, mp.xs, mp.F, left=0.0, right=1.0)
     dr_r = mr.cdf_right(a) if mr.step else np.interp(b, mr.xs, mr.F, left=0.0, right=1.0)
-    dr = dr_p - dr_r
+    return _area(b - a, dl, dr_p - dr_r)
+
+
+def _area(width: np.ndarray, dl: np.ndarray, dr: np.ndarray) -> float:
+    """Area between two CDFs whose gap runs linearly from dl to dr over cells of these widths."""
     same = dl * dr >= 0
     seg = np.where(
         same,
         0.5 * (np.abs(dl) + np.abs(dr)),
         0.5 * (dl**2 + dr**2) / np.maximum(np.abs(dl - dr), 1e-300),
     )
-    return float(np.sum((b - a) * seg))
+    return float(np.sum(width * seg))
 
 
 def wasserstein2(p, r) -> float:

@@ -12,7 +12,8 @@ one-event reshuffle the particle kernel is checked against. Beside it:
 - ``spectral``: the Laguerre analysis of the linearized flow;
 - ``kinetic2d``: the pair-density solver;
 - ``entropy``: the paper's entropy inequalities on the grid;
-- ``step``: the forward Euler step in its one-expression form.
+- ``step``: the forward Euler step in its one-expression form;
+- ``records``: a diagnostics record's functionals in their plain forms.
 
 Only small grids and spectra are fed to them.
 """

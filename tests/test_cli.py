@@ -415,6 +415,14 @@ class TestPde:
         entropies = [float(r["entropy_rel"]) for r in rows]
         assert all(b < a for a, b in zip(entropies, entropies[1:]))
 
+    def test_mean_below_laplace_range(self, tmp_path):
+        """A mean below 0.6 puts the observer's lam0 = 0.6/m1 above 1, with damping C = m1."""
+        code, out = run(["pde", "--m1", "0.5", "--dx", "0.05", "--t", "1"], tmp_path)
+        assert code == 0
+        with open(out / "diagnostics.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert rows and all(0.0 < float(r["laplace_sup"]) <= 1.0 + 5e-3 for r in rows)
+
     def test_writes_final_density_with_sidecar(self, tmp_path):
         code, out = run(["pde", "--init", "uniform:0,2", "--t", "1", "--dx", "0.02"], tmp_path)
         assert code == 0
@@ -441,18 +449,20 @@ class TestPde:
 
 
 class TestGoldenArtifacts:
-    """SHA-256 of every file seven runs write, manifest included.
+    """SHA-256 of every file eight runs write, manifest included.
 
     Any change to an artifact's bytes fails here; update a hash only for an
-    intended change of output. The pde start has 120 zero cells, so its
-    first record takes the D = +inf branch. figure1, contraction and
+    intended change of output. The pde start has 120 zero cells and the
+    pde_reference start (the benchmark's pde run, M = 10^4) 3003, so the
+    first record of each takes the D = +inf branch. figure1, contraction and
     chaos_full run at full size; contraction's first coupled run and every
     second chaos replica go through a forked child, so in chaos_full the
     20 replicas at N = 10^4 are split over both processes. No run reaches
     BLAS, so each hash holds under every OpenBLAS kernel (TestCrossKernel).
     The hashes do depend on numpy's own SIMD dispatch: on a CPU without
     AVX512, numpy's exp, log, power, expm1 and log1p round differently,
-    and the pde, figure1, chaos, chaos_full and entropy hashes change.
+    and the pde, pde_reference, figure1, chaos, chaos_full and entropy
+    hashes change.
     """
 
     CASES = {
@@ -471,6 +481,15 @@ class TestGoldenArtifacts:
                 "final_density.csv": "e1cc12b4d89141a47d2c1c44015d7fc1fbf924fcfafdbad05c28f239debcf1a9",
                 "final_density.csv.json": "543cb58578275c0833cea3ea3ed2b4b90ebeafa2554168613b9ebd618d8cf273",
                 "manifest.json": "3d730d58a52478c5b0c95568075bba71df491f8b7bda6a3d6934d862762f7b85",
+            },
+        ),
+        "pde_reference": (  # 41 records at M = 10^4
+            ["pde", "--m1", "5", "--dx", "0.01", "--dt", "0.05", "--t", "10", "--init", "random:19"],
+            {
+                "diagnostics.csv": "5eb25d89ee95a2270ed59dd73382a0d3bae1ecfbc5277786afd837d4b355336b",
+                "final_density.csv": "5b769b77e808d8862c4dfaf2de3fc5a7baa5208421b57366c24753ffca601c27",
+                "final_density.csv.json": "6a675029b80d31c1ac47111937a1b114ce30bfc2e23cc22ced21ae62364b30e8",
+                "manifest.json": "04452afeb4a3edd9abc182d41794706cd158789fcf4808aa3d4a9ef60a930d0b",
             },
         ),
         "chaos": (

@@ -6,12 +6,13 @@ from scipy import integrate
 
 from kinex import diagnostics as dg
 from kinex import experiments as ex
-from kinex.errors import ConfigError, DomainError
+from kinex.errors import ConfigError, DomainError, KinexError
 from kinex.kinetic1d import Equilibrium, Grid1D, GridDensity1D, gain, solve, uniform_density
 
 from conftest import Recorder, compact_random_density
 from oracles import diagonal_average, dirac_density, touches_positive_diagonal
 from oracles import dissipation as dissipation_oracle
+from oracles import records as plain
 from oracles.entropy import derived_densities, entropy_sandwich, phi_weighted_entropy_bound
 
 
@@ -91,6 +92,23 @@ class TestDissipation:
 
     def test_nonnegative(self, grid48):
         assert all(dg.dissipation(positive_density(grid48, s)) >= 0 for s in range(20))
+
+    def test_negative_within_rounding_bound_reads_zero(self, grid48, monkeypatch):
+        """The bound is 2 * eps * M * size: a negative D just inside reads 0, one just past raises."""
+        q = positive_density(grid48, 0)
+        unit = np.finfo(float).eps * q.grid.n_cells * 30.0
+        monkeypatch.setattr(dg, "_diagonal_sums", lambda q: (-1.98 * unit, 30.0))
+        assert dg.dissipation(q) == 0.0
+        monkeypatch.setattr(dg, "_diagonal_sums", lambda q: (-2.02 * unit, 30.0))
+        with pytest.raises(KinexError, match="negative"):
+            dg.dissipation(q)
+
+    def test_equilibrium_rounding_negative_reads_zero(self, grid48):
+        """At equilibrium t1 and t2 are themselves rounding-level: D's bound scales with the four terms."""
+        q = Equilibrium(1.5).on_grid(grid48).normalized()
+        value, size = dg._diagonal_sums(q)
+        assert value < 0 and size > 1.0
+        assert dg.dissipation(q) == 0.0
 
     def test_infinite_for_unreachable_support(self, grid_fine):
         q = uniform_density(grid_fine, 0.0, 2.0)  # zero beyond 2 on a [0,20] grid
@@ -264,6 +282,14 @@ class TestLaplace:
     def test_config_guard(self, exp1):
         with pytest.raises(ConfigError):
             dg.laplace_check(exp1.normalized(), 0.6, 2.0)  # C * lam0 >= 1
+        with pytest.raises(ConfigError):
+            dg.laplace_check(exp1.normalized(), 0.0, 1.0)
+
+    def test_lam0_above_one_when_damping_allows(self):
+        """The observer's range for a mean below 0.6: lam0 = 0.6/m1 > 1 with C = m1."""
+        q = Equilibrium(0.5).on_grid(Grid1D.from_spacing(20.0, 0.01)).normalized()
+        lams, G = dg.laplace_profile(q, 1.2, 0.5)
+        assert lams[-1] == 1.2 and np.max(np.abs(G - 1.0)) < 1e-3
 
 
 class TestWasserstein:
@@ -353,6 +379,84 @@ class TestWasserstein:
         assert dg._measure(q, keep=True) is measure and q._memo["measure"] is measure
         assert dg._measure(GridDensity1D(q.grid, q.values), keep=True) is not measure
         assert dg._measure(q) is not measure
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestRecordFormsBitForBit:
+    """Each record quantity equals its plain form (oracles.records) to the bit."""
+
+    @staticmethod
+    def assert_same_bits(q, eq):
+        lams, G = dg.laplace_profile(q, 0.6, 1.0)
+        plain_lams, plain_G = plain.laplace_profile(q, 0.6, 1.0)
+        assert bits(lams) == bits(plain_lams) and bits(G) == bits(plain_G)
+        assert bits(dg.wasserstein1(q, eq)) == bits(plain.wasserstein1(q, eq))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dg, "_xlogy", plain.xlogy)
+            masked = (dg.relative_entropy(q, eq), dg.dissipation(q))
+        assert bits([dg.relative_entropy(q, eq), dg.dissipation(q)]) == bits(masked)
+
+    @pytest.mark.filterwarnings("ignore:q vanishes")
+    @pytest.mark.parametrize("start", ["random:42", "uniform:0,2"])
+    def test_solve_trajectory(self, start):
+        grid = Grid1D.from_spacing(20.0, 0.05)  # M = 400
+        q0 = (ex.random_positive_density(grid, 1.0, 42) if start == "random:42"
+              else uniform_density(grid, 0.0, 2.0))
+        rec = Recorder()
+        solve(q0, 1.0, 0.05, snapshot_times=np.arange(0.0, 1.0 + 1e-9, 0.25), observers=(rec,))
+        eq = Equilibrium(1.0).on_grid(grid).normalized()
+        assert any(dg._check_positive_where_needed(q.values) for q in rec.snapshots)
+        assert not dg._check_positive_where_needed(rec.snapshots[-1].values)
+        for q in rec.snapshots:
+            self.assert_same_bits(q, eq)
+
+    def test_xlogy_both_branches(self):
+        rng = np.random.default_rng(3)
+        y = rng.random(500) + 0.1
+        for x in (rng.random(500) + 1e-3, rng.random(500) * (rng.random(500) > 0.3), np.zeros(500)):
+            assert bits(dg._xlogy(x, y)) == bits(plain.xlogy(x, y))
+
+    @pytest.mark.filterwarnings("ignore:q vanishes")
+    def test_densities_with_zero_cells(self, grid_fine):
+        eq = Equilibrium(1.0).on_grid(grid_fine).normalized()
+        compact = compact_random_density(grid_fine, seed=5)
+        assert dg.dissipation(compact) == math.inf  # zeros beyond the support: D = +inf
+        for q in (compact, uniform_density(grid_fine, 0.0, 2.0)):
+            assert np.any(q.values == 0)
+            self.assert_same_bits(q, eq)
+        grid = Grid1D(8.0, 48)
+        holes = positive_density(grid, 2).values.copy()
+        holes[[5, 6, 30]] = 0.0  # interior zero cells
+        only_last = np.zeros(48)
+        only_last[-1] = 1.0  # zeros everywhere, yet D is finite: the masked _xlogy in all of D's sums
+        for values, infinite in ((holes, True), (only_last, False)):
+            q = GridDensity1D(grid, values).normalized()
+            assert (dg.dissipation(q) == math.inf) == infinite
+            self.assert_same_bits(q, Equilibrium(1.0).on_grid(grid).normalized())
+
+    def test_equal_distinct_grids(self):
+        p = Equilibrium(1.3).on_grid(Grid1D(20.0, 400)).normalized()
+        r = Equilibrium(1.0).on_grid(Grid1D(20.0, 400)).normalized()
+        assert p.grid == r.grid and p.grid is not r.grid
+        assert bits(dg.wasserstein1(p, r)) == bits(plain.wasserstein1(p, r))
+
+    def test_w1_general_path(self, grid_fine):
+        rng = np.random.default_rng(8)
+        q = compact_random_density(grid_fine, seed=9)
+        other = Equilibrium(1.0).on_grid(Grid1D(25.0, 700)).normalized()  # breakpoints merged
+        a, b = rng.exponential(1.0, 300), rng.exponential(1.5, 200)
+        for p, r in ((a, q), (q, a), (a, b), (q, other), (other, q)):
+            assert bits(dg.wasserstein1(p, r)) == bits(plain.wasserstein1(p, r))
+
+    @pytest.mark.parametrize("m, rows", [(400, 64), (10_000, 6), (20_000, 3), (40_000, 1)])
+    def test_laplace_passes(self, m, rows):
+        """All lambdas in one pass, rows that do not divide 64 (a last pass of fewer), one lambda per pass."""
+        assert dg._laplace_rows(m) == rows
+        q = ex.random_positive_density(Grid1D(50.0, m), 1.0, 7)
+        assert bits(dg.laplace_profile(q, 0.6, 1.0)[1]) == bits(plain.laplace_profile(q, 0.6, 1.0)[1])
 
 
 class TestEntropyDissipationIdentity:
