@@ -77,10 +77,10 @@ def _schedule(ii: np.ndarray, jj: np.ndarray, uu: np.ndarray, counts: np.ndarray
     """Put every stride-th chunk of one batch in round order, in place, for particle._apply_rounds.
 
     Chunk c (c % stride == stride - 1) of chunk events becomes the
-    concatenation of its rounds from particle._rounds, counts[c] their
-    number, and their ends (positions in the chunk, the last one its
-    length) follow those of the chunks before it in ends. counts holds 0
-    for every other chunk on entry.
+    concatenation of its pieces from particle._rounds (its rounds, then
+    its tail), counts[c] their number, and their ends (positions in the
+    chunk, the last one its length) follow those of the chunks before it
+    in ends. counts holds 0 for every other chunk on entry.
     """
     at = 0
     for lo in range((stride - 1) * chunk, len(ii), stride * chunk):

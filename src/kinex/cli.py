@@ -45,20 +45,24 @@ class _UsageError(KinexError):
 
 
 def _read_config_file(path: str, schema: dict) -> dict:
-    """key = value lines with keys from schema; '#' starts a comment; values stay strings."""
+    """UTF-8 key = value lines with keys from schema; '#' starts a comment; values stay strings."""
     out = {}
-    with open(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise _UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if key not in schema:
-                raise _UsageError(f"unknown config key {key!r}")
-            out[key] = value.strip()
+    with open(path, encoding="utf-8") as f:
+        try:
+            lines = f.readlines()
+        except UnicodeDecodeError as exc:
+            raise _UsageError(f"{path}: config file is not UTF-8 text ({exc.reason})") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise _UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, value = line.split("=", 1)
+        key = key.strip().replace("-", "_")
+        if key not in schema:
+            raise _UsageError(f"unknown config key {key!r}")
+        out[key] = value.strip()
     return out
 
 

@@ -442,8 +442,11 @@ def load_density(path: str) -> GridDensity1D:
             raise DataError(f"{path}.json: sidecar has no {exc} entry") from None
         except (ConfigError, TypeError, ValueError) as exc:
             raise DataError(f"{path}.json: bad sidecar: {exc}") from None
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
+    with open(path, newline="", encoding="utf-8") as f:
+        try:
+            rows = list(csv.reader(f))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: density CSV is not UTF-8 text ({exc.reason})") from None
     if not rows or rows[0][:2] != ["x", "value"]:
         raise DataError(f"{path}: unexpected density CSV header {rows[:1]}")
     if len(rows) - 1 != grid.n_cells:

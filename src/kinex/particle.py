@@ -20,11 +20,11 @@ single-population run takes its batches from one producer, forked by
 _fork._in_child, that draws them ahead of the event loop (see _run); the
 events are the same.
 Below _IN_PLACE_AGENTS agents the loop applies events one by one to
-Python lists (_apply); from there on it applies them in numpy, a round of
-events on disjoint agents at a time (_apply_rounds), and the producer puts
-some chunks in round order ahead of the loop (_producer._schedule). All
-give every agent the same float operations in the same order, so the bits
-agree.
+Python lists (_apply); from there on _apply_rounds applies them in numpy,
+a round of events on disjoint agents at a time, and hands each chunk's last
+few events to _apply; the producer puts some chunks in round order ahead
+of the loop (_producer._schedule). All give every agent the same float
+operations in the same order, so the bits agree.
 """
 
 from __future__ import annotations
@@ -44,10 +44,14 @@ _PRODUCER_BATCHES = 12  # see _run
 _SELF_CHECK_RTOL = 1e-9
 _IN_PLACE_AGENTS = 10_000  # see _run
 # events per chunk of _apply_rounds from 3e4 agents on, half that below (_chunk): chunks of 1024/2048/4096/8192
-# ran 56/44/41/47 ns/event at N = 1e4 and 38/32/29/27 at 1e5, a whole batch 132 and 30, and at 1e4 4096 put
-# figure1's peak RSS 0.4 MB above 2048
+# ran 67/57/60/68 ns/event at N = 1e4 and 51/46/43/40 at 1e5 with the tail below, 89/73/67/73 and 62/54/46/42
+# without it (one population, best of 11 on one host); a whole batch ran 132 and 30 without it, and at 1e4 4096
+# put figure1's peak RSS 0.4 MB above 2048
 _ROUND_EVENTS = 4096
-_PRODUCER_STRIDE = 3  # the producer schedules every 3rd chunk of a batch (see _run)
+_PRODUCER_STRIDE = 3  # the producer schedules every 3rd chunk of a batch; every 2nd is no faster (see _run)
+# _rounds hands a chunk's last events to _apply once at most this many remain. At N = 1e4 one numpy round took
+# 21 µs for up to 64 events, and _apply on memoryviews 0.27-0.32 µs per event: they cross at about 70 events
+_TAIL_EVENTS = 64
 # A larger population is refused before numpy would try to allocate it.
 _MAX_AGENTS = 10**6
 # More expected events (total rate x time) are refused before the first draw; 20x figure1's.
@@ -182,8 +186,11 @@ class ParticleTrajectory:
     event_count: int = 0
 
 
-def _apply(bal: list, ii: memoryview, jj: memoryview, uu: memoryview) -> None:
-    """Apply the events (i, j, u) in order: agents i and j split their pool u : 1-u."""
+def _apply(bal: list | memoryview, ii: memoryview, jj: memoryview, uu: memoryview) -> None:
+    """Apply the events (i, j, u) in order: agents i and j split their pool u : 1-u.
+
+    bal is a list of floats or a float64 memoryview; both yield and take Python floats.
+    """
     for i, j, u in zip(ii, jj, uu):
         pool = bal[i] + bal[j]
         share = u * pool
@@ -192,19 +199,22 @@ def _apply(bal: list, ii: memoryview, jj: memoryview, uu: memoryview) -> None:
 
 
 def _rounds(a: np.ndarray, b: np.ndarray, u: np.ndarray, first: np.ndarray):
-    """Yield one chunk's events (a, b, u) as rounds, each an (a, b, u) of events on disjoint agents.
+    """Yield one chunk's events (a, b, u) as rounds, each an (a, b, u) of events on disjoint agents, then its tail.
 
     np.minimum.at leaves in first[k] the position of agent k's earliest
     remaining event, and a round holds every event that comes first for
     both its agents. Those events touch disjoint agents and every earlier
-    event of theirs is in an earlier round, so applying the rounds in turn
-    gives each agent _apply's float operations in _apply's order. Only the
-    agents decide the rounds, never a balance. first (one int32 per agent)
-    holds _ROUND_EVENTS, past every position, on entry and after the last
-    round.
+    event of theirs is in an earlier round. Once at most _TAIL_EVENTS
+    events remain, the rounds stop and those events, still in drawn order,
+    come last as the tail: no event of a round comes after a tail event on
+    a shared agent, since it would not have been first for that agent. So
+    applying the rounds in turn, then the tail in order, gives each agent
+    _apply's float operations in _apply's order. Only the agents decide the
+    rounds, never a balance. first (one int32 per agent) holds
+    _ROUND_EVENTS, past every position, on entry and after the last round.
     """
     pos = np.arange(len(a), dtype=np.int32)
-    while len(pos):
+    while len(pos) > _TAIL_EVENTS:
         np.minimum.at(first, a, pos)
         np.minimum.at(first, b, pos)
         ready = (first[a] == pos) & (first[b] == pos)
@@ -213,16 +223,21 @@ def _rounds(a: np.ndarray, b: np.ndarray, u: np.ndarray, first: np.ndarray):
         go, rest = np.flatnonzero(ready), np.flatnonzero(~ready)
         yield a.take(go), b.take(go), u.take(go)
         a, b, u, pos = a.take(rest), b.take(rest), u.take(rest), pos.take(rest)
+    if len(pos):
+        yield a, b, u
 
 
 def _apply_rounds(arrays: tuple, ii: np.ndarray, jj: np.ndarray, uu: np.ndarray, first: np.ndarray,
                   counts: np.ndarray | None = None, ends: np.ndarray | None = None) -> None:
     """Apply the events (i, j, u) in order to every array, a round of independent events at a time.
 
-    The rounds of each chunk of _chunk(N) events come from _rounds, which
-    needs first (see there), or, where counts[c] > 0, from the draw
-    producer (_producer._schedule): chunk c is then in round order, and the
-    next counts[c] values of ends end its rounds, each a contiguous slice.
+    The rounds and tail of each chunk of _chunk(N) events come from
+    _rounds, which needs first (see there), or, where counts[c] > 0, from
+    the draw producer (_producer._schedule): chunk c is then in that order,
+    and the next counts[c] values of ends end its pieces, each a contiguous
+    slice. A piece of at most _TAIL_EVENTS events, so every tail, goes to
+    _apply, on memoryviews of the arrays (no copy), in order; that keeps
+    the bits of a round too, whose events touch disjoint agents.
     """
     chunk, planned, at = _chunk(len(first)), [] if counts is None else counts.tolist(), 0
     for c, lo in enumerate(range(0, len(ii), chunk)):
@@ -234,11 +249,16 @@ def _apply_rounds(arrays: tuple, ii: np.ndarray, jj: np.ndarray, uu: np.ndarray,
         else:
             rounds = _rounds(a, b, u, first)
         for ra, rb, ru in rounds:
-            for bal in arrays:
-                pool = bal[ra] + bal[rb]
-                share = ru * pool
-                bal[ra] = share
-                bal[rb] = pool - share
+            if len(ra) > _TAIL_EVENTS:
+                for bal in arrays:
+                    pool = bal[ra] + bal[rb]
+                    share = ru * pool
+                    bal[ra] = share
+                    bal[rb] = pool - share
+            else:
+                events = ra.data, rb.data, ru.data
+                for bal in arrays:
+                    _apply(bal.data, *events)
 
 
 def _draws(rng: np.random.Generator, n: int, scale: float):
@@ -267,15 +287,16 @@ def _run(config: SimConfig, balances: np.ndarray, mirror: np.ndarray | None, on_
     read through memoryviews of the draw arrays (no copy; they yield the
     same Python ints and floats) and applied to a list of the primary, then
     of the mirror (the two never interact), copied back at each snapshot.
-    Rounds over list ns/event (8 batches, best of 3, 2-vCPU x86): one
-    population 160/75 at N = 1e3, 74/76 at 3e3, 45/77 at 1e4, 30/79 at 3e4,
-    28/111 at 1e5; two populations 179/150 at 1e3, 87/148 at 3e3, 55/150 at
-    1e4, 39/178 at 3e4, 39/230 at 1e5. The switch sits at 1e4, above both
-    crossovers. After every batch the total is checked afresh; a list is
-    summed by builtin sum (43 µs at N = 1e4, against 214 µs for np.sum of a
-    copy). Its rounding is at most (N - 1) 2^-53 relative for nonnegative
-    balances: 1.1e-12 just below _IN_PLACE_AGENTS, 900x under
-    _SELF_CHECK_RTOL.
+    Rounds, rounds without the tail (_TAIL_EVENTS = 0) and list, ns/event
+    (8 batches, best of 3 in each of 3 runs, 2-vCPU x86): one population
+    208/231/108 at N = 1e3, 96/108/108 at 3e3, 54/64/106 at 1e4, 39/44/113
+    at 3e4, 40/45/173 at 1e5; two populations 244/263/213 at 1e3,
+    113/128/209 at 3e3, 69/82/207 at 1e4, 53/59/247 at 3e4, 57/60/368 at
+    1e5. The switch sits at 1e4, above both crossovers. After every batch
+    the total is checked afresh; a list is summed by builtin sum (43 µs at
+    N = 1e4, against 214 µs for np.sum of a copy). Its rounding is at most
+    (N - 1) 2^-53 relative for nonnegative balances: 1.1e-12 just below
+    _IN_PLACE_AGENTS, 900x under _SELF_CHECK_RTOL.
 
     A run with one population and at least _PRODUCER_BATCHES expected
     batches draws in a producer (_producer._produced) if os has fork and no
@@ -284,13 +305,17 @@ def _run(config: SimConfig, balances: np.ndarray, mirror: np.ndarray | None, on_
     in-process wall at N = 1e4 (20 alternating pairs, 2-vCPU x86): 4 batches
     +13%, 8 -1%, 12 -8%, 16 -18%, 32 -10%, against a fixed 6.8 ms for fork,
     first batch and reap. In rounds, the producer also puts every
-    _PRODUCER_STRIDE-th chunk of a batch that holds no cut in round order:
-    at N = 1e4 that costs it 41 ns/event of the chunk, and applying the
-    chunk then costs 12, against 45 in rounds. simulate at figure1's size
-    (N = 1e4 to t = 1000, 5.0e6 events, median of 5): list 0.380 s, rounds
-    in process 0.308, rounds beside a producer 0.238, and with every 2nd,
-    3rd or 4th chunk scheduled 0.202, 0.185 or 0.197. The loop waits on
-    "ready" 0.05-0.08 s in all at every 2nd, 0.003-0.010 s at every 3rd.
+    _PRODUCER_STRIDE-th chunk of a batch that holds no cut in round order,
+    its tail last: at N = 1e4 (one batch, best of 15) that costs it 45
+    ns/event of the chunk (59 without the tail), and applying the chunk then
+    costs 17, against 52 in rounds (63 without the tail). simulate at
+    figure1's size (N = 1e4 to t = 1000, 5.0e6 events, median of 5, without
+    the tail): list 0.380 s, rounds in process 0.308, rounds beside a
+    producer 0.238, and with every 2nd, 3rd or 4th chunk scheduled 0.202,
+    0.185 or 0.197. With the tail (median of 10, on a host that ran the same
+    code about 2x slower), every 3rd chunk 0.387 s against 0.423 without the
+    tail, and every 2nd 0.390, where the producer is the slower side: the
+    loop waits on "ready" 0.086 s in all, against 0.011 s at every 3rd.
     """
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     n = config.n_agents

@@ -325,6 +325,14 @@ class TestBadInput:
         assert "expected key=value" in one_line_error(capsys)
         assert not out.exists()
 
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(b"n = 10\xff\xfe\n")
+        code, out = run(["simulate", "--config", str(conf)], tmp_path)
+        assert code == 2
+        assert f"{conf}: config file is not UTF-8 text" in one_line_error(capsys)
+        assert not out.exists()
+
     # every key a converter checks, once per subcommand: (command, key, bad value, other flags)
     TWINS = [
         ("simulate", "n", "1", []),
@@ -387,6 +395,17 @@ class TestBadInput:
         code, _ = run(["pde", "--dx", "0.05", "--t", "1", "--init", f"file:{path}"], tmp_path)
         assert code == 1
         assert str(path) in one_line_error(capsys)
+
+    def test_density_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "density.csv"
+        save_density(Equilibrium(1.0).on_grid(Grid1D.from_spacing(20.0, 0.05)).normalized(), str(path))
+        rows = path.read_bytes().splitlines()
+        rows[7] = b"0.325,\xff\xfe"
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        code, out = run(["pde", "--dx", "0.05", "--t", "1", "--init", f"file:{path}"], tmp_path)
+        assert code == 1
+        assert f"{path}: density CSV is not UTF-8 text" in one_line_error(capsys)
+        assert not out.exists()
 
     def test_bad_balance_file(self, tmp_path, capsys):
         path = tmp_path / "balances.txt"

@@ -316,6 +316,32 @@ class TestApplyRounds:
     def test_segment_lengths(self, count, populations):
         self.compare(500, *self.events(500, count, seed=count), populations)
 
+    @pytest.mark.parametrize("populations", [1, 2])
+    @pytest.mark.parametrize("count", [pt._TAIL_EVENTS, pt._TAIL_EVENTS + 1])
+    def test_segment_within_the_tail(self, count, populations):
+        """A segment of at most _TAIL_EVENTS events is all tail; one event more takes a round first."""
+        ii, jj, uu = self.events(500, count, seed=count)
+        pieces = list(pt._rounds(ii, jj, uu, np.full(500, pt._ROUND_EVENTS, np.int32)))
+        assert len(pieces) == 1 + (count > pt._TAIL_EVENTS)
+        assert 0 < len(pieces[-1][0]) <= pt._TAIL_EVENTS
+        self.compare(500, ii, jj, uu, populations)
+
+    @pytest.mark.parametrize("populations", [1, 2])
+    def test_tail_holds_a_repeated_pair(self, populations):
+        """A chunk ends in 2 * _TAIL_EVENTS events of one pair, one per round, so its tail is that pair's last events.
+
+        The next chunk of the segment starts after the tail.
+        """
+        n, chunk, pair = 1000, pt._chunk(1000), 2 * pt._TAIL_EVENTS
+        ii, jj, uu = self.events(n, chunk + 100, seed=5)
+        ii[chunk - pair : chunk], jj[chunk - pair : chunk] = [3, 5] * pt._TAIL_EVENTS, [5, 3] * pt._TAIL_EVENTS
+        first = np.full(n, pt._ROUND_EVENTS, np.int32)
+        *rounds, tail = pt._rounds(ii[:chunk], jj[:chunk], uu[:chunk], first)
+        assert len(rounds) > pt._TAIL_EVENTS
+        assert [t.tolist() for t in tail] == [e[chunk - pt._TAIL_EVENTS : chunk].tolist() for e in (ii, jj, uu)]
+        assert np.all(first == pt._ROUND_EVENTS)
+        self.compare(n, ii, jj, uu, populations)
+
     def test_coupled_run_cut_inside_a_chunk(self, monkeypatch):
         """N = 30 000 in rounds against the list loop, with a snapshot between two chunk edges."""
         n, seed = 30_000, 3
@@ -337,11 +363,15 @@ class TestApplyRounds:
 class TestScheduledRounds:
     """Chunks that the draw producer put in round order (_producer._schedule) give the bytes of _apply."""
 
-    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("populations", [1, 2])
     @pytest.mark.parametrize("n", [10_000, 30_000])
     def test_one_batch(self, n, populations, stride):
-        """Every chunk edge of a batch: scheduled chunks side by side (stride 1), and beside chunks in rounds."""
+        """Every chunk edge of a batch: scheduled chunks side by side (stride 1), and beside chunks in rounds.
+
+        A scheduled chunk holds its rounds, then its tail: its last piece,
+        of at most _TAIL_EVENTS events in drawn order.
+        """
         from kinex._producer import _schedule
 
         chunk = pt._chunk(n)
@@ -359,9 +389,14 @@ class TestScheduledRounds:
         _schedule(*events, counts, ends, first, chunk, stride)
         assert [count > 0 for count in counts] == [c % stride == stride - 1 for c in range(len(counts))]
         assert np.all(first == pt._ROUND_EVENTS)
+        at = 0
         for lo in range(0, pt._BATCH, chunk):  # each chunk keeps its own events, reordered where scheduled
             drawn, held = (list(zip(*(e[lo : lo + chunk].tolist() for e in group))) for group in ((ii, jj, uu), events))
             assert sorted(drawn) == sorted(held) and (drawn != held) == (counts[lo // chunk] > 0)
+            if counts[lo // chunk]:
+                at += counts[lo // chunk]
+                tail = held[ends[at - 2] :]
+                assert len(tail) <= pt._TAIL_EVENTS and tail == [e for e in drawn if e in tail]
         pt._apply_rounds(arrays, *events, first, counts, ends)
         assert [arr.tobytes() for arr in arrays] == expected
         assert np.all(first == pt._ROUND_EVENTS)
