@@ -11,21 +11,20 @@ literal O(M^3) triple sum and the O(M^2) splits that cross-check it live
 in tests/oracles/ on an exact direct sum of their own, so all evaluations
 agree to rounding error.
 
-Wasserstein distances use the one-dimensional coupling: W1 as the exact
-area between CDFs on the merged breakpoint set, W2 through inverse-CDF
-evaluation on a fine u-grid with a half-resolution consistency check,
-taken a block of the u-grid at a time. The second argument is the
-reference side: a grid density there keeps its CDF in its memo, so a
-trajectory's equilibrium is built once. The first argument's CDF is built
-per call.
+Wasserstein distances use the one-dimensional coupling, both exact: W1
+as the area between CDFs, W2 as the integral of the squared gap between
+quantile functions, each on the merged breakpoints. The second argument
+is the reference side: a grid density there keeps its CDF in its memo, so
+a trajectory's equilibrium is built once. A record builds q's CDF once,
+for its mass check, W1 and W2; a direct call builds it per call.
 
 A record evaluates each functional in few numpy passes, with the floats
 of its plain form (tests/oracles/records.py checks them bit for bit): W1
 of two densities on one grid reads both CDFs from their tables, as
 np.interp returns a table value exactly at a breakpoint; x log y skips
 its mask when every x is positive; the Laplace profile takes several
-lambdas per pass through one buffer no larger than W2's; and the
-+inf rule of D reads the support's hull without an index array.
+lambdas per pass through one buffer of at most 512 KiB; and the +inf
+rule of D reads the support's hull without an index array.
 """
 
 from __future__ import annotations
@@ -37,13 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _w2
 from .errors import ConfigError, DataError, DomainError, KinexError
 from .kinetic1d import Equilibrium, GridDensity1D, _hull, self_convolution
 from .kinetic1d import gain  # noqa: F401  unused here; perfbench/selftest.py checks the tracer rebinds it
 
 _LAPLACE_POINTS = 64  # lambda grid of the damped Laplace transform
-_W2_POINTS = 1 << 16  # u-grid of the W2 quantile coupling
-_QUANTILE_BLOCK = 1 << 13  # u-grid points W2 inverts at a time
+_LAPLACE_BUFFER = 1 << 16  # floats of laplace_profile's (rows, M) buffer: 512 KiB
 _EPS = float(np.finfo(float).eps)
 _D_ROUNDING = 2.0  # K of dissipation's bound K * eps * M * size on a negative D
 
@@ -172,8 +171,8 @@ def _diagonal_sums(q: GridDensity1D) -> tuple[float, float]:
 
 
 def _laplace_rows(n_cells: int) -> int:
-    """lambdas per pass of laplace_profile: its (rows, M) buffer holds at most _W2_POINTS floats."""
-    return max(1, min(_LAPLACE_POINTS, _W2_POINTS // n_cells))
+    """lambdas per pass of laplace_profile: its (rows, M) buffer holds at most _LAPLACE_BUFFER floats."""
+    return max(1, min(_LAPLACE_POINTS, _LAPLACE_BUFFER // n_cells))
 
 
 def laplace_profile(q: GridDensity1D, lam0: float, C: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -191,14 +190,12 @@ def laplace_profile(q: GridDensity1D, lam0: float, C: float = 1.0) -> tuple[np.n
     per lambda, and np.sum reduces each contiguous row of M values as it
     reduced the one lambda's array, so G keeps its bits.
 
-    The buffer holds at most _W2_POINTS floats (512 KiB), as W2's gap
-    array does: 6 rows at M = 10^4, 64 (all of them) up to M = 1024, 1
-    above M = 32 768. glibc maps a block at or above its dynamic mmap
-    threshold, and freeing such a block raises the threshold to the
-    block's size and the heap's trim threshold to twice that. A record's W2
-    has set both by its gap array already; a bigger buffer (8 rows, 625 KiB
-    at M = 10^4) raised them again, and pde's peak RSS with them, by
-    0.3-0.5 MB on three of four benchmark seeds.
+    The buffer holds at most _LAPLACE_BUFFER floats (512 KiB): 6 rows at
+    M = 10^4, 64 up to M = 1024, 1 above M = 32 768. Freeing a block mapped
+    at or above glibc's mmap threshold raises it to the block's size, and
+    the trim threshold to twice that. W2's 512 KiB workspace sets both
+    after it in a record; 8 rows (625 KiB at M = 10^4) raised them past
+    that, and pde's peak RSS by 0.3-0.5 MB on three of four benchmark seeds.
     """
     if not lam0 > 0:
         raise ConfigError(f"lam0 must be positive, got {lam0}")
@@ -258,27 +255,14 @@ class _Measure:
             return np.searchsorted(self.xs, x, side="right") / self.xs.size
         return np.interp(x, self.xs, self.F, left=0.0, right=1.0)
 
-    def quantile(self, u: np.ndarray) -> np.ndarray:
-        if self.step:
-            idx = np.minimum((u * self.xs.size).astype(int), self.xs.size - 1)
-            return self.xs[idx]
-        return np.interp(u, self.F, self.xs)
-
-    def second_moment(self) -> float:
-        if self.step:
-            return float(np.mean(self.xs**2))
-        mids = 0.5 * (self.xs[1:] + self.xs[:-1])
-        return float(np.sum(np.diff(self.F) * mids**2))
-
 
 def _measure(obj, keep: bool = False) -> _Measure:
-    """The _Measure of obj, checked for mass 1; with keep, a grid density's is kept in its memo."""
-    if keep and isinstance(obj, GridDensity1D):
-        measure = obj._memo.get("measure")
-        if measure is None:
-            measure = obj._memo["measure"] = _Measure(obj)
-    else:
+    """The _Measure of obj, checked for mass 1: read from a grid density's memo, and with keep put there."""
+    measure = obj._memo.get("measure") if isinstance(obj, GridDensity1D) else None
+    if measure is None:
         measure = _Measure(obj)
+        if keep and isinstance(obj, GridDensity1D):
+            obj._memo["measure"] = measure
     if abs(measure.mass - 1.0) > 1e-6:
         raise DomainError(f"measure mass must be 1 +- 1e-6, got {measure.mass}")
     return measure
@@ -323,40 +307,24 @@ def _area(width: np.ndarray, dl: np.ndarray, dr: np.ndarray) -> float:
     return float(np.sum(width * seg))
 
 
-def wasserstein2(p, r) -> float:
-    """1-D W2 via inverse CDFs on a u-grid, with a half-resolution check.
+def _quantile_table(m: _Measure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, lo, hi): Q runs linearly from lo[k] to hi[k] on [u[k], u[k+1]]; a sample's Q is a step."""
+    if m.step:
+        return np.arange(m.xs.size + 1) / m.xs.size, m.xs, m.xs
+    return m.F, m.xs[:-1], m.xs[1:]
 
-    r is the reference side: a grid density there keeps its measure in its
-    memo, so a reference passed to every call (the observer's equilibrium,
-    contraction's) is built once. Both sides are inverted _QUANTILE_BLOCK
-    points of the u-grid at a time, into one array of their gaps, which
-    are the values the whole u-grid gives; no quantiles are kept.
+
+def wasserstein2(p, r) -> float:
+    """Exact 1-D W2: W2^2 is the integral of (Q_p - Q_r)^2 on [0, 1] (Villani, Thm 2.18).
+
+    Both quantiles are linear between the merged CDF values (kinex._w2). r
+    keeps its measure in its memo. A sample's mean of x^2 may overflow; a
+    grid density's second moment is finite.
     """
     mp, mr = _measure(p), _measure(r, keep=True)
-    if not (np.isfinite(mp.second_moment()) and np.isfinite(mr.second_moment())):
+    if any(m.step and not np.isfinite(np.mean(m.xs**2)) for m in (mp, mr)):
         raise DomainError("wasserstein2 needs finite second moments")
-
-    def estimate(n: int) -> float:
-        d = np.empty(n)  # quantile gaps on the u-grid (arange(n) + 0.5) / n
-        for lo in range(0, n, _QUANTILE_BLOCK):
-            u = np.arange(lo, min(lo + _QUANTILE_BLOCK, n), dtype=float)
-            u += 0.5
-            u /= n
-            gap = mp.quantile(u)
-            gap -= mr.quantile(u)
-            d[lo : lo + u.size] = gap
-        d *= d
-        return float(np.sqrt(np.mean(d)))
-
-    fine = estimate(_W2_POINTS)
-    coarse = estimate(_W2_POINTS // 2)
-    if abs(fine - coarse) > max(1e-6, 1e-2 * fine):
-        warnings.warn(
-            f"wasserstein2 u-grid not converged: {coarse} at {_W2_POINTS // 2} points vs "
-            f"{fine} at {_W2_POINTS}; the quantile functions are too rough for this grid",
-            stacklevel=2,
-        )
-    return fine
+    return math.sqrt(_w2.squared(_quantile_table(mp), _quantile_table(mr)))
 
 
 # ---------------------------------------------------------------------------
@@ -426,31 +394,40 @@ class TrajectoryObserver:
             self._eq = Equilibrium(q.mean).on_grid(q.grid).normalized()
         # early snapshots may have D = +inf (see the class docstring)
         d_val = math.inf if _check_positive_where_needed(q.values) else dissipation(q)
-        w1 = w2 = math.nan
-        if self.wasserstein:
-            mass = q.cdf_points()[1][-1]  # the cumulative mass (not np.sum) W1/W2 check
-            if abs(mass - 1.0) > 1e-6:
-                raise DataError(
-                    f"density mass {mass:.7g} at t={t:g} is not 1 +- 1e-6 as W1/W2 need: "
-                    f"tail_mass={self._mass0 - q.mass:.3g} has left the grid past "
-                    f"x_max={q.grid.x_max:g}; widen the grid or shorten the run"
-                )
-            w1 = wasserstein1(q, self._eq)
-            w2 = wasserstein2(q, self._eq)
+        entropy = relative_entropy(q, self._eq)
+        laplace = laplace_check(q, self.lam0, self.laplace_C)
+        # the distances last: before the entropy and the Laplace profile, the exact W2 read pde's
+        # peak RSS 0.10-0.19 MB above the u-grid's on 5 of 7 benchmark seeds; last, 0.02-0.10 MB
+        w1, w2 = self._distances(t, q) if self.wasserstein else (math.nan, math.nan)
         self.records.append(
             DiagnosticsRecord(
                 time=t,
                 mass=q.mass,
                 mean=q.mean,
                 m2=q.moment(2),
-                entropy_rel=relative_entropy(q, self._eq),
+                entropy_rel=entropy,
                 D=d_val,
                 W1=w1,
                 W2=w2,
-                laplace_sup=laplace_check(q, self.lam0, self.laplace_C),
+                laplace_sup=laplace,
                 tail_mass=self._mass0 - q.mass,
             )
         )
+
+    def _distances(self, t: float, q: GridDensity1D) -> tuple[float, float]:
+        """(W1, W2) against the equilibrium from one measure of q, in q's memo while they run."""
+        measure = _Measure(q)
+        if abs(measure.mass - 1.0) > 1e-6:
+            raise DataError(
+                f"density mass {measure.mass:.7g} at t={t:g} is not 1 +- 1e-6 as W1/W2 need: "
+                f"tail_mass={self._mass0 - q.mass:.3g} has left the grid past "
+                f"x_max={q.grid.x_max:g}; widen the grid or shorten the run"
+            )
+        q._memo["measure"] = measure
+        try:
+            return wasserstein1(q, self._eq), wasserstein2(q, self._eq)
+        finally:
+            del q._memo["measure"]
 
 
 @dataclass

@@ -180,7 +180,15 @@ def uniform_density(grid: Grid1D, a: float, b: float) -> GridDensity1D:
 
 
 def _fft_square(v: np.ndarray) -> np.ndarray:
-    """The 2*len(v) - 1 values of the linear self-convolution of v, by one real FFT."""
+    """The 2*len(v) - 1 values of the linear self-convolution of v, by one real FFT.
+
+    A step's speed depends on glibc's trim threshold: the FFT's buffers
+    (about 1 MB at M = 10^4) are freed every step, and under the default
+    threshold they go back to the OS and are faulted in again (a bare solve
+    at M = 10^4: 50 576 minor faults, against 754 once a 512 KiB block was
+    freed once). What raises it now is the first record: the Laplace
+    profile's buffer (480 KiB at M = 10^4), then W2's 512 KiB workspace.
+    """
     n = 2 * v.size - 1
     nfft = 1 << (n - 1).bit_length()
     spectrum = np.fft.rfft(v, nfft)
@@ -301,11 +309,18 @@ class _RecordThread:
     solving thread. The thread lives as long as the solve: a new thread
     per record can be handed a second malloc arena before the last one's
     is released, and each arena keeps the memory its thread freed.
+
+    The last (t, q) is held until the next is submitted, so a recorded q
+    and its q*q stay put in the solving thread's heap for the steps between
+    records, however short the record: freed as soon as a fast record
+    ended, they let the heap's top pass glibc's trim threshold in the next
+    steps, which gave the FFT's buffers back and faulted them in again
+    (pde at M = 10^4: about twice the page faults).
     """
 
     def __init__(self, observers):
         self._observers = observers
-        self._job = None  # (t, q) of the record to run; None stops the thread
+        self._job = None  # (t, q) of the last record submitted; None stops the thread
         self._failure = None  # what the last record raised, until wait() raises it
         self._busy = False
         self._todo, self._done = threading.Semaphore(0), threading.Semaphore(0)
@@ -319,7 +334,6 @@ class _RecordThread:
                     obs(*self._job)
             except BaseException as exc:  # handed to the solving thread, which raises it
                 self._failure = exc
-            self._job = None
             self._done.release()
 
     def wait(self) -> None:
@@ -343,6 +357,7 @@ class _RecordThread:
         try:
             self.wait()
         finally:
+            self._job = None
             self._todo.release()
             self._thread.join()
 

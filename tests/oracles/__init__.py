@@ -13,7 +13,8 @@ one-event reshuffle the particle kernel is checked against. Beside it:
 - ``kinetic2d``: the pair-density solver;
 - ``entropy``: the paper's entropy inequalities on the grid;
 - ``step``: the forward Euler step in its one-expression form;
-- ``records``: a diagnostics record's functionals in their plain forms.
+- ``records``: a diagnostics record's functionals in their plain forms;
+- ``wasserstein``: W2 by an independent merge with Simpson's rule.
 
 Only small grids and spectra are fed to them.
 """

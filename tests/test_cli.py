@@ -496,7 +496,7 @@ class TestGoldenArtifacts:
         "pde": (
             ["pde", "--dx", "0.05", "--t", "1", "--init", "random:42"],
             {
-                "diagnostics.csv": "200ad5e013b2853c437f1cdd3da4cacbd4db4a4177478367a337b3c460e22641",
+                "diagnostics.csv": "eb6bb66463390870e9b194424b2200fd180c2ddc7fd84f721f27c61677d58266",
                 "final_density.csv": "e1cc12b4d89141a47d2c1c44015d7fc1fbf924fcfafdbad05c28f239debcf1a9",
                 "final_density.csv.json": "543cb58578275c0833cea3ea3ed2b4b90ebeafa2554168613b9ebd618d8cf273",
                 "manifest.json": "3d730d58a52478c5b0c95568075bba71df491f8b7bda6a3d6934d862762f7b85",
@@ -505,7 +505,7 @@ class TestGoldenArtifacts:
         "pde_reference": (  # 41 records at M = 10^4
             ["pde", "--m1", "5", "--dx", "0.01", "--dt", "0.05", "--t", "10", "--init", "random:19"],
             {
-                "diagnostics.csv": "5eb25d89ee95a2270ed59dd73382a0d3bae1ecfbc5277786afd837d4b355336b",
+                "diagnostics.csv": "d038d11f798b271758c037e5d9fe56f37edc5918d57f02001da63bb6a636c752",
                 "final_density.csv": "5b769b77e808d8862c4dfaf2de3fc5a7baa5208421b57366c24753ffca601c27",
                 "final_density.csv.json": "6a675029b80d31c1ac47111937a1b114ce30bfc2e23cc22ced21ae62364b30e8",
                 "manifest.json": "04452afeb4a3edd9abc182d41794706cd158789fcf4808aa3d4a9ef60a930d0b",
@@ -539,8 +539,8 @@ class TestGoldenArtifacts:
             ["study", "--study", "contraction", "--seed", "0"],
             {
                 "manifest.json": "b75e09093f8373f2b337041ef20fdfeeda5e448f186189df1128a194e3d37604",
-                "report.json": "f1e2b11b82a42a4dc600b89f4a7ffcdc86e5f7bf8d1c485b96bdd0dc5cafafe0",
-                "series.csv": "a70b579c8bf83a9fa093aa446fce39d33b2deaecad7ba7916abe7d2c996a39e1",
+                "report.json": "c31429bf4cf8ab91bfc09bb6d20e585c349904721a126fc070429b6d28d40fcc",
+                "series.csv": "c619d424e68971b375eede5ec1bfa6b24515ad744b731d9597eecd4575d9b32c",
             },
         ),
         "entropy": (  # a record at each of its 201 steps, and the mean in its conservation check

@@ -13,6 +13,7 @@ from conftest import Recorder, compact_random_density
 from oracles import diagonal_average, dirac_density, touches_positive_diagonal
 from oracles import dissipation as dissipation_oracle
 from oracles import records as plain
+from oracles import wasserstein as w2_oracle
 from oracles.entropy import derived_densities, entropy_sandwich, phi_weighted_entropy_bound
 
 
@@ -334,10 +335,9 @@ class TestWasserstein:
         grid = Grid1D.from_spacing(40.0, 0.005)
         q = Equilibrium(1.0).on_grid(grid).normalized()
         assert dg.wasserstein1(samples, q) < 0.02
-        # W2 against a 1e5-atom staircase converges slowly in the u-grid
-        # (heavy-tail quantile wiggles); the half-resolution check flags it
-        with pytest.warns(UserWarning, match="u-grid not converged"):
-            assert dg.wasserstein2(samples, q) < 0.05
+        # a 1e5-atom staircase against the grid: exact, as the merged breakpoints are
+        w2 = dg.wasserstein2(samples, q)
+        assert w2 < 0.05 and w2 == pytest.approx(w2_oracle.wasserstein2(samples, q), rel=1e-12)
 
     def test_w2_grid_pair_needs_no_warning(self, recwarn):
         grid = Grid1D.from_spacing(40.0, 0.005)
@@ -352,6 +352,13 @@ class TestWasserstein:
             dg.wasserstein1(bad, bad)
         with pytest.raises(DomainError):  # the first argument's measure is built and checked per call
             dg.wasserstein2(bad, bad)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_w2_refuses_a_sample_whose_second_moment_overflows(self, exp1):
+        huge = np.array([1e200, 2e200, 3e200])
+        for p, r in ((huge, exp1.normalized()), (exp1.normalized(), huge), (huge, huge)):
+            with pytest.raises(DomainError, match="finite second moments"):
+                dg.wasserstein2(p, r)
 
     def test_reused_equilibrium_matches_fresh_bit_for_bit(self, uniform02, monkeypatch):
         """W1 and W2 against one reused equilibrium equal those against a new one, exactly."""
@@ -368,17 +375,67 @@ class TestWasserstein:
         monkeypatch.setattr(dg, "_Measure", lambda obj: built.append(obj) or measure(obj))
         eq = Equilibrium(1.0).on_grid(grid).normalized()
         for q, expected in zip(snapshots, fresh):
+            q._memo["measure"] = dg._Measure(q)  # one CDF of q for both, as a record shares it
             assert (dg.wasserstein1(q, eq), dg.wasserstein2(q, eq)) == expected
-        assert sum(obj is eq for obj in built) == 1  # its CDF and quantiles were built once
-        assert all(sum(obj is q for obj in built) == 2 for q in snapshots)  # q's, once per call
+            del q._memo["measure"]
+        assert sum(obj is eq for obj in built) == 1  # its CDF was built once
+        assert all(sum(obj is q for obj in built) == 1 for q in snapshots)
 
     def test_measure_cache_is_keyed_by_identity(self, exp1):
-        """A reference keeps its measure in its own memo; a first argument's is built per call."""
+        """A reference keeps its measure in its own memo, which either side reads; a new density builds its own."""
         q = exp1.normalized()
+        assert dg._measure(q) is not dg._measure(q)  # not kept without keep
         measure = dg._measure(q, keep=True)
         assert dg._measure(q, keep=True) is measure and q._memo["measure"] is measure
         assert dg._measure(GridDensity1D(q.grid, q.values), keep=True) is not measure
-        assert dg._measure(q) is not measure
+        assert dg._measure(q) is measure
+
+
+@pytest.fixture(scope="module")
+def contraction_states():
+    """The contraction study's PDE route at t = 0, 5 and 20, normalized, and its equilibrium."""
+    grid = Grid1D.from_spacing(20.0, 0.01)
+    rec = Recorder()
+    solve(uniform_density(grid, 0.0, 2.0), 20.0, 0.02, snapshot_times=(0.0, 5.0, 20.0), observers=(rec,))
+    return [q.normalized() for q in rec.snapshots], Equilibrium(1.0).on_grid(grid).normalized()
+
+
+class TestW2ClosedForm:
+    """W2 equals the independent merge of oracles.wasserstein to 1e-12 relative."""
+
+    def test_contraction_route(self, contraction_states):
+        states, eq = contraction_states
+        assert np.count_nonzero(states[0].values == 0) == 1800  # the uniform[0, 2] start
+        for q in states:
+            assert dg.wasserstein2(q, eq) == pytest.approx(w2_oracle.wasserstein2(q, eq), rel=1e-12)
+
+    def test_pde_start_with_zero_cells_and_a_flat_top(self):
+        grid = Grid1D.from_spacing(100.0, 0.01)  # the pde reference run, M = 10^4
+        q0 = ex.random_positive_density(grid, 5.0, 19)
+        rec = Recorder()
+        solve(q0, 2.0, 0.05, snapshot_times=(2.0,), observers=(rec,))
+        q2 = rec.snapshots[0]
+        eq = Equilibrium(q0.mean).on_grid(grid).normalized()
+        assert np.count_nonzero(q0.values == 0) > 2900
+        cum = q2.cdf_points()[1]
+        assert np.count_nonzero(cum / cum[-1] == 1.0) > 900  # F reaches 1.0 well before x_max
+        for q in (q0, q2):
+            assert dg.wasserstein2(q, eq) == pytest.approx(w2_oracle.wasserstein2(q, eq), rel=1e-12)
+
+    def test_samples_and_another_grid(self, exp1):
+        rng = np.random.default_rng(11)
+        a, b, q = rng.exponential(1.0, 1000), rng.exponential(1.3, 700), exp1.normalized()
+        other = Equilibrium(1.2).on_grid(Grid1D(25.0, 700)).normalized()
+        for p, r in ((a, q), (q, a), (a, b), (b, a), (a, a[::-1]), (q, other), (other, a)):
+            assert dg.wasserstein2(p, r) == pytest.approx(w2_oracle.wasserstein2(p, r), rel=1e-12, abs=0.0)
+
+    def test_the_midpoint_rule_is_no_oracle(self, contraction_states):
+        """The u-grid midpoint rule W2 used before approaches the closed form from below, slowly."""
+        q, eq = contraction_states[0][-1], contraction_states[1]
+        exact = dg.wasserstein2(q, eq)
+        grids = [w2_oracle.midpoint_wasserstein2(q, eq, 1 << k) for k in (16, 18, 20, 22)]
+        assert grids == sorted(grids) and grids[-1] < exact
+        assert 1e-4 < 1.0 - grids[-1] / exact < 2e-4  # still 1.4e-4 off at 2^22 points
 
 
 def bits(x) -> bytes:
@@ -542,7 +599,7 @@ def test_observer_scales_laplace_with_mean():
 
 
 def test_observer_builds_the_reference_cdf_once(uniform02, monkeypatch):
-    """The mass check, W1 and W2 of a record each read a CDF of q; the equilibrium's is built once."""
+    """The mass check, W1 and W2 of a record read one CDF of q; the equilibrium's is built once."""
     calls = []
     cdf_points = GridDensity1D.cdf_points
     monkeypatch.setattr(GridDensity1D, "cdf_points", lambda q: calls.append(q) or cdf_points(q))
@@ -550,4 +607,5 @@ def test_observer_builds_the_reference_cdf_once(uniform02, monkeypatch):
     solve(uniform02, 1.0, 0.05, snapshot_times=np.arange(0.0, 1.01, 0.25), observers=(observer,))
     assert len(observer.records) == 5
     assert sum(q is observer._eq for q in calls) == 1
-    assert len(calls) == 3 * 5 + 1
+    assert len(calls) == 5 + 1
+    assert all("measure" not in q._memo for q in calls if q is not observer._eq)  # it leaves with its record
