@@ -157,7 +157,7 @@ PDE_SCHEMA = {
     "m1": (1.0, _positive_float, "mean of the target equilibrium"),
     "dx": (0.01, _positive_float, "cell width"),
     "dt": (0.05, _positive_float, "Euler step (must be <= 1)"),
-    "t": (10.0, _positive_float, "time horizon"),
+    "t": (5.0, _positive_float, "time horizon"),
     "x_max": (None, _positive_float, "domain cutoff (default 20*m1)"),
     "init": ("equilibrium", str, "equilibrium | uniform:<a>,<b> | random:<seed> | file:<path>"),
     "snapshot_every": (0.25, _positive_float, "diagnostics cadence"),

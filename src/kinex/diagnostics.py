@@ -20,7 +20,8 @@ for its mass check, W1 and W2; a direct call builds it per call.
 
 A record evaluates each functional in few numpy passes, with the floats
 of its plain form (tests/oracles/records.py checks them bit for bit): W1
-of two densities on one grid reads both CDFs from their tables, as
+reads each CDF once on the breakpoints, which for two densities on one
+Grid1D are the grid's edges, where the CDFs are their tables, as
 np.interp returns a table value exactly at a breakpoint; x log y skips
 its mask when every x is positive; the Laplace profile takes several
 lambdas per pass through one buffer of at most 512 KiB; and the +inf
@@ -249,11 +250,17 @@ class _Measure:
             self.step = True
         self.xs.setflags(write=False)  # a kept measure is shared by every caller
 
-    def cdf_right(self, x: np.ndarray) -> np.ndarray:
-        """Right-continuous CDF values F(x+)."""
+    def cdf(self, breaks: np.ndarray) -> np.ndarray:
+        """F at the sorted breakpoints, which hold xs; a sample's F is constant between them, read at the left ends."""
         if self.step:
-            return np.searchsorted(self.xs, x, side="right") / self.xs.size
-        return np.interp(x, self.xs, self.F, left=0.0, right=1.0)
+            return np.searchsorted(self.xs, breaks[:-1], side="right") / self.xs.size
+        return self.F if breaks is self.xs else np.interp(breaks, self.xs, self.F, left=0.0, right=1.0)
+
+    def quantile_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, lo, hi): Q runs linearly from lo[k] to hi[k] on [u[k], u[k+1]]; a sample's Q is a step."""
+        if self.step:
+            return np.arange(self.xs.size + 1) / self.xs.size, self.xs, self.xs
+        return self.F, self.xs[:-1], self.xs[1:]
 
 
 def _measure(obj, keep: bool = False) -> _Measure:
@@ -271,29 +278,26 @@ def _measure(obj, keep: bool = False) -> _Measure:
 def wasserstein1(p, r) -> float:
     """Exact 1-D W1: area between the two CDFs on merged breakpoints.
 
-    Two densities on one grid share their edges, which strictly increase,
-    so those edges are the merged set as they stand, and both CDFs are
-    their tables F there. np.interp returns the table value exactly at a
-    breakpoint (and 0 and 1 are F's first and last values), so the gaps
-    F_p - F_r at the left and right ends of the cells are the table's gap
-    d without it: d[:-1] and d[1:], one subtraction for both.
+    The breakpoints are the edges two densities on one Grid1D share, else
+    the sorted union. Each CDF is read once on them; on the k intervals the
+    gap runs linearly from the first k values of the two reads, at the left
+    ends, to the last k, the left limits at the right ends (a sample's F
+    holds to the next breakpoint). Reads of one length take one subtraction.
     """
     mp, mr = _measure(p), _measure(r, keep=True)
-    if not (mp.step or mr.step) and np.array_equal(mp.xs, mr.xs):
-        d = mp.F - mr.F
-        return _area(np.diff(mp.xs), d[:-1], d[1:])
-    # np.union1d by np.unique's steps, which np.unique itself takes only after importing numpy.ma
-    breaks = np.sort(np.concatenate((mp.xs, mr.xs)))
-    breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
-    a, b = breaks[:-1], breaks[1:]
-    # on each open interval both CDFs are linear (constant for samples)
-    dl = mp.cdf_right(a) - mr.cdf_right(a)
-    if mp.step and mr.step:
-        return float(np.sum((b - a) * np.abs(dl)))
-    # left limits at b: step CDFs keep their value from a, linear ones hit F(b)
-    dr_p = mp.cdf_right(a) if mp.step else np.interp(b, mp.xs, mp.F, left=0.0, right=1.0)
-    dr_r = mr.cdf_right(a) if mr.step else np.interp(b, mr.xs, mr.F, left=0.0, right=1.0)
-    return _area(b - a, dl, dr_p - dr_r)
+    if mp.xs is mr.xs:
+        breaks = mp.xs
+    else:  # np.union1d by np.unique's steps, which np.unique itself takes only after importing numpy.ma
+        breaks = np.sort(np.concatenate((mp.xs, mr.xs)))
+        breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
+    fp, fr = mp.cdf(breaks), mr.cdf(breaks)
+    k = breaks.size - 1
+    if fp.size == fr.size:
+        d = fp - fr
+        dl, dr = d[:k], d[d.size - k :]
+    else:
+        dl, dr = fp[:k] - fr[:k], fp[fp.size - k :] - fr[fr.size - k :]
+    return _area(np.diff(breaks), dl, dr)
 
 
 def _area(width: np.ndarray, dl: np.ndarray, dr: np.ndarray) -> float:
@@ -307,13 +311,6 @@ def _area(width: np.ndarray, dl: np.ndarray, dr: np.ndarray) -> float:
     return float(np.sum(width * seg))
 
 
-def _quantile_table(m: _Measure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, lo, hi): Q runs linearly from lo[k] to hi[k] on [u[k], u[k+1]]; a sample's Q is a step."""
-    if m.step:
-        return np.arange(m.xs.size + 1) / m.xs.size, m.xs, m.xs
-    return m.F, m.xs[:-1], m.xs[1:]
-
-
 def wasserstein2(p, r) -> float:
     """Exact 1-D W2: W2^2 is the integral of (Q_p - Q_r)^2 on [0, 1] (Villani, Thm 2.18).
 
@@ -322,9 +319,10 @@ def wasserstein2(p, r) -> float:
     grid density's second moment is finite.
     """
     mp, mr = _measure(p), _measure(r, keep=True)
-    if any(m.step and not np.isfinite(np.mean(m.xs**2)) for m in (mp, mr)):
-        raise DomainError("wasserstein2 needs finite second moments")
-    return math.sqrt(_w2.squared(_quantile_table(mp), _quantile_table(mr)))
+    with np.errstate(over="ignore"):  # refused without numpy's warning; its error state is per thread
+        if any(m.step and not np.isfinite(np.mean(m.xs**2)) for m in (mp, mr)):
+            raise DomainError("wasserstein2 needs finite second moments")
+    return math.sqrt(_w2.squared(mp.quantile_table(), mr.quantile_table()))
 
 
 # ---------------------------------------------------------------------------

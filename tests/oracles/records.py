@@ -3,16 +3,17 @@
 Each function writes the float operations of one record quantity as plain
 expressions: the Laplace profile one lambda at a time with a fresh array
 for each of exp(lambda x), its product with q and the sum; W1 with every
-CDF value read by np.interp at the merged breakpoints, on one grid too; and
-x log y through a mask in every case. kinex.diagnostics computes the same
-operations on the same operands in fewer passes, so the two must agree
-byte for byte.
+CDF value read at the merged breakpoints, on one grid too, by an np.interp
+or searchsorted of its own; and x log y through a mask in every case.
+kinex.diagnostics computes the same operations on the same operands in
+fewer passes, so the two must agree byte for byte.
 """
 
 import numpy as np
 
 from kinex import diagnostics as dg
 from kinex.errors import ConfigError
+from kinex.kinetic1d import GridDensity1D
 
 
 def xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -35,21 +36,33 @@ def laplace_profile(q, lam0: float, C: float = 1.0) -> tuple[np.ndarray, np.ndar
     return lams, G
 
 
+def _points(obj) -> np.ndarray:
+    """Where the CDF of obj may bend or jump: a grid density's cell edges, or the sample sorted."""
+    if isinstance(obj, GridDensity1D):
+        return obj.cdf_points()[0]
+    return np.sort(np.asarray(obj, dtype=float))
+
+
+def _cdf(obj, x: np.ndarray, side: str) -> np.ndarray:
+    """F(x+) (side "right") or F(x-) (side "left"): np.interp on a grid density's table, searchsorted in a sample."""
+    if isinstance(obj, GridDensity1D):  # continuous: both limits are F(x)
+        edges, cum = obj.cdf_points()
+        return np.interp(x, edges, cum / cum[-1], left=0.0, right=1.0)
+    xs = _points(obj)
+    return np.searchsorted(xs, x, side) / xs.size
+
+
 def wasserstein1(p, r) -> float:
-    """Exact 1-D W1 with both CDFs read by np.interp (or searchsorted) at the merged breakpoints."""
-    mp, mr = dg._measure(p), dg._measure(r, keep=True)
-    if mp.step or mr.step or not np.array_equal(mp.xs, mr.xs):
-        breaks = np.sort(np.concatenate((mp.xs, mr.xs)))
-        breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
-    else:
-        breaks = mp.xs
+    """Exact 1-D W1 with both CDFs read at the merged breakpoints, on one grid too.
+
+    On each merged interval [a, b] the gap runs linearly from F_p(a+) - F_r(a+)
+    to F_p(b-) - F_r(b-), whether a CDF is linear there or a sample's constant.
+    """
+    breaks = np.sort(np.concatenate((_points(p), _points(r))))
+    breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
     a, b = breaks[:-1], breaks[1:]
-    dl = mp.cdf_right(a) - mr.cdf_right(a)
-    if mp.step and mr.step:
-        return float(np.sum((b - a) * np.abs(dl)))
-    dr_p = mp.cdf_right(a) if mp.step else np.interp(b, mp.xs, mp.F, left=0.0, right=1.0)
-    dr_r = mr.cdf_right(a) if mr.step else np.interp(b, mr.xs, mr.F, left=0.0, right=1.0)
-    dr = dr_p - dr_r
+    dl = _cdf(p, a, "right") - _cdf(r, a, "right")
+    dr = _cdf(p, b, "left") - _cdf(r, b, "left")
     same = dl * dr >= 0
     seg = np.where(
         same,
@@ -57,4 +70,3 @@ def wasserstein1(p, r) -> float:
         0.5 * (dl**2 + dr**2) / np.maximum(np.abs(dl - dr), 1e-300),
     )
     return float(np.sum((b - a) * seg))
-

@@ -416,6 +416,13 @@ class TestBadInput:
 
 
 class TestPde:
+    def test_defaults(self, tmp_path):
+        """t = 5 lies inside the horizon x_max/m1 - log(1e6), about 6.2, of the default x_max = 20 m1."""
+        code, out = run(["pde"], tmp_path)
+        assert code == 0
+        with open(out / "diagnostics.csv") as f:
+            assert len(list(csv.DictReader(f))) == 21  # t = 0, 0.25, ..., 5
+
     def test_equilibrium_entropy_floor(self, tmp_path):
         code, out = run(["pde", "--init", "equilibrium", "--t", "5"], tmp_path)
         assert code == 0

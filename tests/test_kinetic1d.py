@@ -56,6 +56,13 @@ class TestGrid:
         assert g.dx == 0.125
         assert np.allclose(g.nodes, (np.arange(16) + 0.5) * 0.125)
 
+    def test_every_density_shares_the_read_only_edges(self, grid_fine, exp1):
+        q = GridDensity1D(grid_fine, exp1.values)
+        assert q.cdf_points()[0] is grid_fine.edges and exp1.cdf_points()[0] is grid_fine.edges
+        assert np.array_equal(grid_fine.edges, np.arange(grid_fine.n_cells + 1) * grid_fine.dx)
+        with pytest.raises(ValueError):
+            grid_fine.edges[0] = 1.0
+
     def test_from_spacing_rejects_incommensurate(self):
         with pytest.raises(ConfigError):
             Grid1D.from_spacing(1.0, 0.3)
