@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from functools import partial
+from itertools import chain, count, repeat
 
 import numpy as np
 
@@ -27,9 +28,8 @@ from . import experiments as ex
 from . import particle as pt
 from .diagnostics import TrajectoryObserver, write_records_csv
 from .errors import KinexError
-from .kinetic1d import (
-    Equilibrium, Grid1D, GridDensity1D, _step_count, load_density, save_density, solve, uniform_density,
-)
+from .kinetic1d import Equilibrium, Grid1D, GridDensity1D, _floats, _step_count, _write_table, load_density
+from .kinetic1d import save_density, solve, uniform_density
 
 # --study name -> its function in experiments
 _STUDIES = {
@@ -200,17 +200,12 @@ def cmd_simulate(args) -> int:
     traj = pt.simulate(config, initial)
 
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "summary.csv"), "w") as f:
-        f.write("time,stat_name,value\n")
-        for t, snap in zip(traj.times, traj.snapshots):
-            for stat, value in (("mean", snap.mean()), ("m2", snap.moment(2)), ("total", snap.total)):
-                f.write(f"{t!r},{stat},{value!r}\n")
+    pairs = list(zip(traj.times, traj.snapshots))
+    stats = (((t, "mean", s.mean()), (t, "m2", s.moment(2)), (t, "total", s.total)) for t, s in pairs)
+    _write_table(os.path.join(out, "summary.csv"), ("time", "stat_name", "value"), chain.from_iterable(stats))
     if args.write_snapshots:
-        with open(os.path.join(out, "snapshots.csv"), "w") as f:
-            f.write("time,agent_index,balance\n")
-            for t, snap in zip(traj.times, traj.snapshots):
-                for idx, balance in enumerate(snap.balances):
-                    f.write(f"{t!r},{idx},{float(balance)!r}\n")
+        _write_table(os.path.join(out, "snapshots.csv"), ("time", "agent_index", "balance"),
+                     chain.from_iterable(zip(repeat(t), count(), _floats(s.balances)) for t, s in pairs))
     manifest = {"command": "simulate", **conf, "snapshots": list(snaps)}
     if conf["init"].startswith("file:"):
         manifest["init_sha256"] = _sha256(conf["init"][5:])

@@ -30,16 +30,15 @@ rule of D reads the support's hull without an index array.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import _w2
 from .errors import ConfigError, DataError, DomainError, KinexError
-from .kinetic1d import Equilibrium, GridDensity1D, _hull, self_convolution
+from .kinetic1d import Equilibrium, GridDensity1D, _hull, _write_table, self_convolution
 from .kinetic1d import gain  # noqa: F401  unused here; perfbench/selftest.py checks the tracer rebinds it
 
 _LAPLACE_POINTS = 64  # lambda grid of the damped Laplace transform
@@ -329,9 +328,6 @@ def wasserstein2(p, r) -> float:
 # records and trajectory observer
 # ---------------------------------------------------------------------------
 
-RECORD_COLUMNS = ("time", "mass", "mean", "m2", "entropy_rel", "D", "W1", "W2", "laplace_sup", "tail_mass")
-
-
 @dataclass
 class DiagnosticsRecord:
     time: float
@@ -349,12 +345,13 @@ class DiagnosticsRecord:
         return [getattr(self, c) for c in RECORD_COLUMNS]
 
 
+# diagnostics.csv's header: the record's fields, in their order
+RECORD_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
+
+
 def write_records_csv(records, path: str) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(RECORD_COLUMNS)
-        for rec in records:
-            writer.writerow([repr(float(x)) for x in rec.row()])
+    """diagnostics.csv: RECORD_COLUMNS, then each record's row of floats, lines ending in CRLF."""
+    _write_table(path, RECORD_COLUMNS, (map(float, rec.row()) for rec in records), "\r\n")
 
 
 class TrajectoryObserver:

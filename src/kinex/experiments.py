@@ -42,7 +42,7 @@ from .diagnostics import (
     wasserstein2,
 )
 from .errors import ConfigError, DataError
-from .kinetic1d import Equilibrium, Grid1D, GridDensity1D, solve, uniform_density
+from .kinetic1d import Equilibrium, Grid1D, GridDensity1D, _write_table, solve, uniform_density
 
 # ---------------------------------------------------------------------------
 # fit helpers
@@ -64,12 +64,17 @@ def exponential_rate(times, values) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 
 
+def _write_json(path: str, obj: dict) -> None:
+    """Write obj as JSON with sorted keys, indent 2, numpy scalars as floats, and a final newline."""
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True, default=float)
+        f.write("\n")
+
+
 def write_manifest(out_dir: str, body: dict, hashed: dict, results: dict) -> None:
     """Write manifest.json: body, config_sha256 of the sorted JSON of hashed, results."""
     digest = hashlib.sha256(json.dumps(hashed, sort_keys=True).encode()).hexdigest()
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-        json.dump({**body, "config_sha256": digest, **results}, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.join(out_dir, "manifest.json"), {**body, "config_sha256": digest, **results})
 
 
 @dataclass
@@ -94,20 +99,11 @@ class StudyReport:
 
     def write_artifacts(self, out_dir: str) -> None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report.json"), "w") as f:
-            json.dump(
-                {"study": self.name, "passed": self.passed, "checks": self.checks, "rates": self.rates},
-                f,
-                indent=2,
-                sort_keys=True,
-                default=float,
-            )
-            f.write("\n")
+        _write_json(os.path.join(out_dir, "report.json"),
+                    {"study": self.name, "passed": self.passed, "checks": self.checks, "rates": self.rates})
         write_manifest(out_dir, {"study": self.name, "params": self.params}, self.params, self.run_info)
-        with open(os.path.join(out_dir, "series.csv"), "w", newline="") as f:
-            f.write(",".join(self.series_columns) + "\n")
-            for row in self.series_rows:
-                f.write(",".join(repr(float(v)) for v in row) + "\n")
+        _write_table(os.path.join(out_dir, "series.csv"), self.series_columns,
+                     (map(float, row) for row in self.series_rows))
 
 
 def _sample_from_density(q: GridDensity1D, n: int, rng: np.random.Generator) -> np.ndarray:

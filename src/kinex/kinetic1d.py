@@ -21,6 +21,9 @@ one FFT.
 
 Mass escaping beyond x_max is dropped, not renormalized, so conservation
 stays an honest diagnostic (see TrajectoryObserver's tail_mass).
+
+Every CSV table of kinex goes through _write_table: a header, str() cells,
+_CSV_BLOCK rows per write; CRLF for a density and diagnostics.csv, else LF.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import csv
 import json
 import math
 import threading
+from itertools import chain, islice, starmap
 
 import numpy as np
 
@@ -40,7 +44,7 @@ _NEGATIVITY_CLIP = 1e-14
 _MAX_CELLS = 2**22
 # More cell updates (cells x Euler steps) are refused before the first step; 50x the largest default run.
 _MAX_CELL_STEPS = 10**8
-# Density CSV rows per write: the whole file as one string raised pde's peak RSS by about 1 MB.
+# CSV rows per write, and floats per list: the whole density CSV as one string raised pde's peak by 1 MB.
 _CSV_BLOCK = 1024
 
 
@@ -422,25 +426,32 @@ def solve(q0: GridDensity1D, t_final: float, dt: float, snapshot_times=None, obs
 # ---------------------------------------------------------------------------
 
 
-def save_density(q: GridDensity1D, path: str) -> None:
-    """Write q as x,value CSV rows plus a .json sidecar.
+def _floats(a: np.ndarray):
+    """a's values as Python floats, listed _CSV_BLOCK at a time: a table's rows hold no whole copy of a."""
+    return chain.from_iterable(a[lo : lo + _CSV_BLOCK].tolist() for lo in range(0, a.size, _CSV_BLOCK))
 
-    Rows hold repr() of each float and end in CRLF, as csv.writer wrote
-    them; they are formatted and written _CSV_BLOCK rows at a time.
+
+def _write_table(path: str, header, rows, end: str = "\n") -> None:
+    """Write the header, then each row's cells as str() (a float's repr), _CSV_BLOCK rows per write.
+
+    A row has as many cells as the header; every line ends in end.
     """
-    nodes, values = q.grid.nodes, q.values
+    line = ",".join(["{}"] * len(header)) + end
+    rows = iter(rows)
     with open(path, "w", newline="") as f:
-        f.write("x,value\r\n")
-        for lo in range(0, nodes.size, _CSV_BLOCK):
-            block = map("{!r},{!r}\r\n".format, nodes[lo : lo + _CSV_BLOCK].tolist(),
-                        values[lo : lo + _CSV_BLOCK].tolist())
-            f.write("".join(block))
+        f.write(",".join(header) + end)
+        while block := "".join(starmap(line.format, islice(rows, _CSV_BLOCK))):
+            f.write(block)
+
+
+def save_density(q: GridDensity1D, path: str) -> None:
+    """Write q as x,value CSV rows (_write_table, CRLF) plus a .json sidecar.
+
+    The sidecar's keys are not sorted: their written order is part of its bytes.
+    """
+    _write_table(path, ("x", "value"), zip(_floats(q.grid.nodes), _floats(q.values)), "\r\n")
     with open(path + ".json", "w") as f:
-        json.dump(
-            {"x_max": q.grid.x_max, "n_cells": q.grid.n_cells, "m1": q.mean},
-            f,
-            indent=2,
-        )
+        json.dump({"x_max": q.grid.x_max, "n_cells": q.grid.n_cells, "m1": q.mean}, f, indent=2)
         f.write("\n")
 
 

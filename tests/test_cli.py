@@ -13,6 +13,7 @@ import pytest
 
 import kinex
 from kinex import experiments as ex
+from kinex import kinetic1d as k1
 from kinex import particle as pt
 from kinex.cli import build_parser, main
 from kinex.kinetic1d import _MAX_CELL_STEPS, Equilibrium, Grid1D, save_density, uniform_density
@@ -567,6 +568,40 @@ class TestGoldenArtifacts:
         assert code == 0
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert got == expected
+
+
+class TestTables:
+    """Every CSV table has the same bytes however many rows go to one write, and its own line ends.
+
+    Rows per table: final_density.csv 1024 (--x-max 20.48 at dx 0.02),
+    diagnostics.csv 3, summary.csv 9, snapshots.csv 12 and series.csv 3, so
+    each block size, 1, 3 and the default 1024, divides some table's rows.
+    """
+
+    RUNS = (
+        ["pde", "--dx", "0.02", "--x-max", "20.48", "--t", "1", "--snapshot-every", "0.5"],
+        ["simulate", "--n", "4", "--t", "1", "--snapshots", "0,0.5,1", "--write-snapshots"],
+        ["study", "--study", "chaos", "--n-list", "20,40,80", "--replicas", "10", "--t", "0.5"],
+    )
+    CRLF = {"diagnostics.csv", "final_density.csv"}
+    ROWS = {"final_density.csv": 1024, "diagnostics.csv": 3, "summary.csv": 9, "snapshots.csv": 12,
+            "series.csv": 3}
+
+    @pytest.mark.parametrize("argv", RUNS, ids=lambda argv: argv[0])
+    def test_block_size_and_line_ends(self, argv, tmp_path, monkeypatch):
+        tables = {}
+        for block in (1, 3, None):
+            with monkeypatch.context() as mp:
+                if block is not None:
+                    mp.setattr(k1, "_CSV_BLOCK", block)
+                code, out = run(argv, tmp_path, f"block{block}")
+            assert code in (0, 1)  # 1: a check of the toy study failed; its artifacts are written all the same
+            tables[block] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+        assert tables[1] == tables[3] == tables[None] and tables[None]
+        for name, data in tables[None].items():
+            lines = data.count(b"\n")
+            assert lines == self.ROWS[name] + 1 and data.endswith(b"\n")
+            assert data.count(b"\r\n") == (lines if name in self.CRLF else 0), name
 
 
 class TestCrossKernel:

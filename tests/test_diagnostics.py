@@ -496,39 +496,39 @@ class TestRecordFormsBitForBit:
             assert (dg.dissipation(q) == math.inf) == infinite
             self.assert_same_bits(q, Equilibrium(1.0).on_grid(grid).normalized())
 
-    def test_equal_distinct_grids(self):
-        p = Equilibrium(1.3).on_grid(Grid1D(20.0, 400)).normalized()
-        r = Equilibrium(1.0).on_grid(Grid1D(20.0, 400)).normalized()
-        assert p.grid == r.grid and p.grid is not r.grid
-        assert bits(dg.wasserstein1(p, r)) == bits(plain.wasserstein1(p, r))
-
     @pytest.mark.parametrize(
         "pair",
-        ["sample-sample", "sample-grid", "grid-sample", "one-grid", "equal-distinct-grids", "other-spacing"],
+        ["sample-sample", "sample-grid", "grid-sample", "one-grid", "equal-distinct-grids",
+         "positive-equal-distinct-grids", "other-spacing", "spacing-other", "sample-fine-grid", "fine-grid-sample",
+         "fine-grid-other-spacing", "other-spacing-fine-grid"],
     )
-    def test_w1_matches_plain_form(self, pair):
+    def test_w1_matches_plain_form(self, pair, grid_fine):
         rng = np.random.default_rng(12)
         grid = Grid1D(20.0, 400)
         q = compact_random_density(grid, seed=13)  # zero cells past its support
+        fine = compact_random_density(grid_fine, seed=9)
         eq = Equilibrium(1.0).on_grid(grid).normalized()
+        # on grids equal to grid but other objects, where the breakpoints are merged
+        distinct, distinct_eq = (Equilibrium(m).on_grid(Grid1D(20.0, 400)).normalized() for m in (1.3, 1.0))
+        other = Equilibrium(1.2).on_grid(Grid1D(25.0, 700)).normalized()  # breakpoints merged
         a, b = rng.exponential(1.0, 300), rng.exponential(1.5, 200)
         p, r = {
             "sample-sample": (a, b),
             "sample-grid": (a, q),
             "grid-sample": (q, a),
             "one-grid": (q, eq),
-            "equal-distinct-grids": (q, Equilibrium(1.0).on_grid(Grid1D(20.0, 400)).normalized()),
-            "other-spacing": (q, Equilibrium(1.2).on_grid(Grid1D(25.0, 700)).normalized()),
+            "equal-distinct-grids": (q, distinct_eq),
+            "positive-equal-distinct-grids": (distinct, eq),
+            "other-spacing": (q, other),
+            "spacing-other": (other, q),
+            "sample-fine-grid": (a, fine),
+            "fine-grid-sample": (fine, a),
+            "fine-grid-other-spacing": (fine, other),
+            "other-spacing-fine-grid": (other, fine),
         }[pair]
+        if "distinct" in pair:
+            assert p.grid == r.grid and p.grid is not r.grid
         assert bits(dg.wasserstein1(p, r)) == bits(plain.wasserstein1(p, r))
-
-    def test_w1_general_path(self, grid_fine):
-        rng = np.random.default_rng(8)
-        q = compact_random_density(grid_fine, seed=9)
-        other = Equilibrium(1.0).on_grid(Grid1D(25.0, 700)).normalized()  # breakpoints merged
-        a, b = rng.exponential(1.0, 300), rng.exponential(1.5, 200)
-        for p, r in ((a, q), (q, a), (a, b), (q, other), (other, q)):
-            assert bits(dg.wasserstein1(p, r)) == bits(plain.wasserstein1(p, r))
 
     @pytest.mark.parametrize("m, rows", [(400, 64), (10_000, 6), (20_000, 3), (40_000, 1)])
     def test_laplace_passes(self, m, rows):
@@ -598,12 +598,18 @@ class TestEepStudy:
 
 
 def test_records_csv(tmp_path):
-    rec = dg.DiagnosticsRecord(0.0, 1.0, 1.0, 2.0, 0.1, 0.4, 0.01, 0.02, 1.0, 0.0)
+    """The bytes as written: CRLF line ends, and each cell reads back to its field's float bit for bit."""
+    recs = [dg.DiagnosticsRecord(0.0, 1.0, 1.0, 2.0, 0.1, 0.4, 0.01, 0.02, 1.0, 0.0),
+            dg.DiagnosticsRecord(0.1 + 0.2, 1 / 3, np.float64(2 / 3), 5e-324, -0.0, math.inf, 1e-300,
+                                 np.float64(7.0) / 3, math.nan, 1.0000000000000002)]
     path = tmp_path / "records.csv"
-    dg.write_records_csv([rec], str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == ",".join(dg.RECORD_COLUMNS)
-    assert [float(tok) for tok in lines[1].split(",")] == rec.row()
+    dg.write_records_csv(recs, str(path))
+    data = path.read_bytes()
+    assert data.count(b"\r\n") == data.count(b"\n") == 3 and data.endswith(b"\r\n")
+    header, *rows = data.decode().split("\r\n")[:-1]
+    assert header == "time,mass,mean,m2,entropy_rel,D,W1,W2,laplace_sup,tail_mass" == ",".join(dg.RECORD_COLUMNS)
+    for row, rec in zip(rows, recs, strict=True):
+        assert [float(tok).hex() for tok in row.split(",")] == [float(x).hex() for x in rec.row()]
 
 
 def test_observer_scales_laplace_with_mean():
